@@ -23,7 +23,6 @@ from praline.corrtypes import (
     DepSig,
     _class_vertices,
     _marginal_range,
-    dep_sig,
     infer_expr_pair,
 )
 from praline.frontend import Atom, DimensionCapExceeded
@@ -44,16 +43,6 @@ class Interval:
 
     def __str__(self) -> str:
         return f"[{self.lo:.6g}, {self.hi:.6g}]"
-
-
-@dataclass
-class DerivExpr:
-    """One node's derivation view: formula, dependency signature, bounds."""
-
-    node: Atom
-    formula: str
-    sig: DepSig
-    interval: Interval
 
 
 def conj_bound(t: CorrType, e1: float, e2: float, upper: bool) -> float:
@@ -78,7 +67,11 @@ def disj_bound(t: CorrType, e1: float, e2: float, upper: bool) -> float:
 
 def combine(op: str, t: CorrType, a: Interval, b: Interval) -> Interval:
     bound = conj_bound if op == "and" else disj_bound
-    return Interval(bound(t, a.lo, b.lo, False), bound(t, a.hi, b.hi, True))
+    lo = bound(t, a.lo, b.lo, False)
+    # The two ends come from different formulas (e.g. max(e1, e2) below and
+    # 1-(1-e1)(1-e2) above), which agree in exact arithmetic at a point
+    # interval but may round an ulp apart; widening hi keeps lo <= hi.
+    return Interval(lo, max(lo, bound(t, a.hi, b.hi, True)))
 
 
 def _negate(x: tuple[Interval, DepSig]) -> tuple[Interval, DepSig]:
@@ -166,23 +159,3 @@ def approx_bounds(env: CorrEnv, assume_unknown: bool = False
             if value is not None:
                 out[n] = (Interval(value, value), sig)
     return {n: iv for n, (iv, _) in out.items()}
-
-
-def deriv_expr(env: CorrEnv, node: Atom,
-               bounds: dict[Atom, Interval]) -> DerivExpr:
-    """One-level formula view of a node's derivation, for reporting."""
-    graph = env.graph
-    parts = []
-    if graph.as_input(node) is not None:
-        parts.append(str(graph.as_input(node)))
-    for ei in graph.in_edges.get(node, []):
-        e = graph.edges[ei]
-        lits = [str(a) for a in e.pos] + [f"not {a}" for a in e.neg]
-        body = " & ".join(lits)
-        if e.prob < 1.0:
-            body = f"{e.prob:g}*({body})"
-        elif len(lits) > 1:
-            body = f"({body})"
-        parts.append(body)
-    formula = " | ".join(parts) if parts else "false"
-    return DerivExpr(node, formula, dep_sig(env, node), bounds[node])

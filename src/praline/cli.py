@@ -21,7 +21,6 @@ from .approx import approx_bounds
 from .constraints import check_feasible, gen_constraints
 from .corrtypes import build_env, infer_input_pair, node_pair
 from .frontend import (
-    Atom,
     DimensionCapExceeded,
     InfeasibleError,
     ParseError,
@@ -36,7 +35,7 @@ from .oracle import (
     sample_feasible_mu,
     world_probs,
 )
-from .refine import DEFAULT_CUT_CAP, DEFAULT_MAX_CLASS, make_delta_precise
+from .refine import make_delta_precise
 from .symexpr import context_from_program, expr_str, gen_objective
 
 log = logging.getLogger("praline")
@@ -56,7 +55,6 @@ class BoundsReport:
     facts: list
     mode: str
     delta: object
-    seed: int
     elapsed_ms: int
 
     def to_json(self) -> str:
@@ -66,8 +64,7 @@ class BoundsReport:
                  "mode": f.mode, "flags": list(f.flags)}
                 for f in self.facts
             ],
-            "meta": {"delta": self.delta, "seed": self.seed,
-                     "elapsed_ms": self.elapsed_ms},
+            "meta": {"delta": self.delta, "elapsed_ms": self.elapsed_ms},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -112,9 +109,8 @@ def _select_outputs(program, graph, patterns):
     return [n for n in nodes if graph.in_edges.get(n)], []
 
 
-def solve_program(program, mode="delta", delta=0.01, queries=None, seed=0,
-                  jobs=1, max_class_size=DEFAULT_MAX_CLASS,
-                  cut_cap=DEFAULT_CUT_CAP) -> BoundsReport:
+def solve_program(program, mode="delta", delta=0.01,
+                  queries=None) -> BoundsReport:
     """Bounds for every queried fact; raises InfeasibleError on conflict."""
     t0 = time.perf_counter()
     work, ctx, system, env = _pipeline(program)
@@ -144,8 +140,7 @@ def solve_program(program, mode="delta", delta=0.01, queries=None, seed=0,
             facts.append(FactBounds(str(out), iv.lo, iv.hi, "approx", []))
     elif mode == "delta":
         m = approx_bounds(env)
-        refined = make_delta_precise(env, m, outputs, delta, max_class_size,
-                                     cut_cap, jobs)
+        refined = make_delta_precise(env, m, outputs, delta)
         for out in outputs:
             r = refined[out]
             fact_mode = "soundness_only" if "soundness_only" in r.flags \
@@ -159,14 +154,20 @@ def solve_program(program, mode="delta", delta=0.01, queries=None, seed=0,
     facts.sort(key=lambda f: f.atom)
     elapsed = int(round((time.perf_counter() - t0) * 1000))
     return BoundsReport(facts, mode, delta if mode == "delta" else None,
-                        seed, elapsed)
+                        elapsed)
 
 
 def solve_source(src: str, **kwargs) -> BoundsReport:
     return solve_program(parse(src), **kwargs)
 
 
-def _dump(args, program, work, ctx, system, env):
+def _dump(args, program):
+    """Print what the --dump-* flags ask for, from a pipeline of its own.
+
+    solve_program builds its pipeline separately, so only a dumping solve
+    grounds the program twice.
+    """
+    work, ctx, system, env = _pipeline(program)
     if args.dump_graph:
         print("derivation graph:")
         for e in work.edges:
@@ -204,14 +205,11 @@ def _dump(args, program, work, ctx, system, env):
 
 
 def _cmd_solve(args, program) -> int:
-    work, ctx, system, env = _pipeline(program)
     if any((args.dump_graph, args.dump_constraints, args.dump_correlations,
             args.dump_exprs)):
-        _dump(args, program, work, ctx, system, env)
-    report = solve_program(
-        program, mode=args.mode, delta=args.delta, queries=args.query,
-        seed=args.seed, jobs=args.jobs, max_class_size=args.max_class_size,
-        cut_cap=args.cut_cap)
+        _dump(args, program)
+    report = solve_program(program, mode=args.mode, delta=args.delta,
+                           queries=args.query)
     out = report.render()
     if out:
         print(out)
@@ -261,13 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="only report atoms matching this pattern "
                          "(repeatable, glob syntax)")
     ps.add_argument("--json", metavar="PATH", help="also write a JSON report")
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                    help="refinement worker threads")
-    ps.add_argument("--max-class-size", type=int, default=DEFAULT_MAX_CLASS,
-                    help="largest correlation class refined exactly")
-    ps.add_argument("--cut-cap", type=int, default=DEFAULT_CUT_CAP,
-                    help="joint dimension budget for cut systems")
     ps.add_argument("--dump-exprs", action="store_true")
     ps.add_argument("--dump-constraints", action="store_true")
     ps.add_argument("--dump-correlations", action="store_true")

@@ -60,13 +60,6 @@ class Hyperedge:
 
 
 @dataclass
-class FlatGraph:
-    """Signed binary edges (src, dst, sign) obtained by flattening hyperedges."""
-
-    edges: list[tuple[Atom, Atom, int]]
-
-
-@dataclass
 class DerivationGraph:
     program: Program
     nodes: list[Atom] = field(default_factory=list)
@@ -499,16 +492,6 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
     g2.acyclic = not _find_cycles(g2)
     assert g2.acyclic, "unfolding left a cycle behind"
     return g2
-
-
-def flatten(g: DerivationGraph) -> FlatGraph:
-    seen: dict[tuple[Atom, Atom, int], None] = {}
-    for e in g.edges:
-        for b in e.pos:
-            seen.setdefault((b, e.head, 1), None)
-        for b in e.neg:
-            seen.setdefault((b, e.head, -1), None)
-    return FlatGraph(list(seen))
 
 
 def depends(g: DerivationGraph) -> tuple[dict[Atom, frozenset[Atom]], dict[Atom, frozenset[Atom]]]:

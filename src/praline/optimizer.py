@@ -5,8 +5,6 @@ distributions of the correlation classes it depends on.  A multilinear
 function over a product of polytopes attains its extrema at products of
 polytope vertices, so the exact optimum is a finite search: enumerate each
 class polytope's vertices and scan all combinations by tensor contraction.
-When the combination count blows past the caps, a block coordinate ascent
-from random feasible starts gives inner (non-exact) bounds instead.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from math import comb
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  perfbench/spans.py patches it
 
 from praline.constraints import ClassSystem, ConstraintSystem
 from praline.frontend import DimensionCapExceeded
@@ -28,7 +26,6 @@ VERTEX_DIM_CAP = 64
 SUPPORT_COMBO_CAP = 200_000
 GLOBAL_COMBO_CAP = 1_000_000
 RESIDUAL_TOL = 1e-8
-SAT_TOL = 1e-9
 
 
 @dataclass
@@ -37,7 +34,6 @@ class OptResult:
     hi: float
     arg_lo: dict[int, np.ndarray]
     arg_hi: dict[int, np.ndarray]
-    exact: bool
 
 
 def _extended_system(cs: ClassSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +92,7 @@ def optimize_exact(expr: ProbExpr, system: ConstraintSystem,
     """Exact range of the expression over the feasible distributions."""
     if not expr.support:
         v = coeff_eval(expr.terms.get((), {}), system.var_prob)
-        return OptResult(v, v, {}, {}, True)
+        return OptResult(v, v, {}, {})
     verts = []
     for c in expr.support:
         if cache is not None and c in cache:
@@ -119,118 +115,4 @@ def optimize_exact(expr: ProbExpr, system: ConstraintSystem,
     arg_lo = {c: verts[k][lo_idx[k]] for k, c in enumerate(expr.support)}
     arg_hi = {c: verts[k][hi_idx[k]] for k, c in enumerate(expr.support)}
     return OptResult(float(vals[lo_idx]), float(vals[hi_idx]),
-                     arg_lo, arg_hi, True)
-
-
-def _random_feasible(cs: ClassSystem, rng: np.random.Generator) -> np.ndarray:
-    kwargs = {}
-    if cs.a_ub is not None and len(cs.a_ub):
-        kwargs = {"A_ub": cs.a_ub, "b_ub": cs.b_ub}
-    res = linprog(rng.standard_normal(cs.dim), A_eq=cs.a_eq, b_eq=cs.b_eq,
-                  bounds=(0, 1), method="highs", **kwargs)
-    if not res.success:
-        raise ValueError(f"class {cs.label} polytope is empty")
-    return np.clip(res.x, 0.0, 1.0)
-
-
-def _best_vertex(cs: ClassSystem, verts: Optional[np.ndarray],
-                 grad: np.ndarray, maximize: bool) -> np.ndarray:
-    if verts is not None:
-        scores = verts @ grad
-        k = int(np.argmax(scores) if maximize else np.argmin(scores))
-        return verts[k]
-    kwargs = {}
-    if cs.a_ub is not None and len(cs.a_ub):
-        kwargs = {"A_ub": cs.a_ub, "b_ub": cs.b_ub}
-    res = linprog(-grad if maximize else grad, A_eq=cs.a_eq, b_eq=cs.b_eq,
-                  bounds=(0, 1), method="highs", **kwargs)
-    if not res.success:
-        raise ValueError(f"class {cs.label} polytope is empty")
-    return np.clip(res.x, 0.0, 1.0)
-
-
-def block_coordinate(expr: ProbExpr, system: ConstraintSystem,
-                     restarts: int = 32, seed: int = 42,
-                     cache: Optional[dict] = None) -> OptResult:
-    """Inner bounds by cyclic per-class vertex moves from random starts.
-
-    The objective is linear in each class block with the others held fixed,
-    so every move lands on a vertex and monotonically improves.  Results are
-    feasible attained values, not certified extrema.
-    """
-    if not expr.support:
-        v = coeff_eval(expr.terms.get((), {}), system.var_prob)
-        return OptResult(v, v, {}, {}, False)
-    t = _dense_template(expr, system.var_prob)
-    specs = [system.classes[c] for c in expr.support]
-    verts: list[Optional[np.ndarray]] = []
-    for c, cs in zip(expr.support, specs):
-        vs = None
-        if cache is not None and c in cache:
-            vs = cache[c]
-        else:
-            try:
-                vs = enumerate_class_vertices(cs)
-                if cache is not None:
-                    cache[c] = vs
-            except (DimensionCapExceeded, ValueError):
-                vs = None
-        verts.append(vs)
-    rng = np.random.default_rng(seed)
-    best = {}
-    for maximize in (False, True):
-        best_val = None
-        best_arg = None
-        for _ in range(restarts):
-            xs = []
-            for cs, vs in zip(specs, verts):
-                if vs is not None:
-                    xs.append(vs[rng.integers(len(vs))])
-                else:
-                    xs.append(_random_feasible(cs, rng))
-            val = _contract_all(t, xs)
-            for _ in range(100):
-                improved = False
-                for k, (cs, vs) in enumerate(zip(specs, verts)):
-                    g = _contract_others(t, xs, k)
-                    xs[k] = _best_vertex(cs, vs, g, maximize)
-                    new = float(g @ xs[k])
-                    if (new > val + 1e-12) if maximize else (new < val - 1e-12):
-                        val = new
-                        improved = True
-                if not improved:
-                    break
-            if best_val is None or ((val > best_val) if maximize
-                                    else (val < best_val)):
-                best_val = val
-                best_arg = [x.copy() for x in xs]
-        best[maximize] = (best_val, best_arg)
-    lo, arg_lo = best[False]
-    hi, arg_hi = best[True]
-    return OptResult(lo, hi,
-                     {c: arg_lo[k] for k, c in enumerate(expr.support)},
-                     {c: arg_hi[k] for k, c in enumerate(expr.support)},
-                     False)
-
-
-def _contract_all(t: np.ndarray, xs: list[np.ndarray]) -> float:
-    v = t
-    for x in xs:
-        v = np.tensordot(v, x, axes=([0], [0]))
-    return float(v)
-
-
-def _contract_others(t: np.ndarray, xs: list[np.ndarray], pos: int
-                     ) -> np.ndarray:
-    # contract high axes first so lower axis indices stay valid
-    v = t
-    for k in range(len(xs) - 1, -1, -1):
-        if k != pos:
-            v = np.tensordot(v, xs[k], axes=([k], [0]))
-    return v
-
-
-def check_sat(res: OptResult, lo: float, hi: float,
-              tol: float = SAT_TOL) -> bool:
-    """Whether some feasible value of the objective lies in [lo, hi]."""
-    return res.lo <= hi + tol and res.hi >= lo - tol
+                     arg_lo, arg_hi)

@@ -10,7 +10,6 @@ against the full constraint system once a window is satisfiable.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -20,14 +19,13 @@ from .frontend import Atom, BudgetExceeded, DimensionCapExceeded
 from .grounder import DerivationGraph
 from .symexpr import context_from_groups, gen_objective
 from .constraints import ClassSystem, ConstraintSystem, class_range
-from .optimizer import _dense_template, check_sat, optimize_exact
+from .optimizer import _dense_template, optimize_exact
 from .corrtypes import CorrEnv, CorrType, _class_vertices, dep_sig, node_pair
-from .approx import DerivExpr, Interval
+from .approx import Interval
 
 SAT_TOL = 1e-9
 INIT_WINDOW = 1e-9
 POINT_TOL = 1e-12
-DEFAULT_MAX_CLASS = 12
 DEFAULT_CUT_CAP = 1 << 12
 MAX_GROW_STEPS = 128
 
@@ -317,8 +315,8 @@ def _build_groups(env: CorrEnv, approx_map: dict, groups: list, leaves: list,
     return CutSystem(root, False, ctx2, system2, leaves)
 
 
-def build_cut_system(env: CorrEnv, approx_map: dict, root: Atom,
-                     cut_cap: int = DEFAULT_CUT_CAP) -> CutSystem:
+def build_cut_system(env: CorrEnv, approx_map: dict, root: Atom
+                     ) -> CutSystem:
     """A sound relaxation over a cut separating the root from the inputs.
 
     Starting just below the root, the cut descends greedily while its joint
@@ -363,7 +361,7 @@ def build_cut_system(env: CorrEnv, approx_map: dict, root: Atom,
             inner_set.add(target)
             continue
         groups = _group_leaves(env, cone, leaves)
-        if sum(1 << len(g) for g in groups) <= cut_cap:
+        if sum(1 << len(g) for g in groups) <= DEFAULT_CUT_CAP:
             return _build_groups(env, approx_map, groups, leaves, root)
         target = None
         for g in sorted(groups, key=len, reverse=True):
@@ -384,15 +382,13 @@ class SatChecker:
     some feasible input distribution.  Checks run against the cut system
     until its first satisfiable answer, then switch to the full system and
     re-check the window there; cut answers over-approximate, so only their
-    UNSAT verdicts are final.  When the full system is out of reach (a
-    class beyond the size limit, or vertex enumeration capping out) the
-    checker degrades to the output's own approximate interval, which keeps
+    UNSAT verdicts are final.  When the full system is out of reach (an
+    objective template or a vertex enumeration capping out) the checker
+    degrades to the output's own approximate interval, which keeps
     every answer sound but cannot tighten anything.
     """
 
-    def __init__(self, env: CorrEnv, out: Atom, approx_map: dict,
-                 max_class_size: int = DEFAULT_MAX_CLASS,
-                 cut_cap: int = DEFAULT_CUT_CAP):
+    def __init__(self, env: CorrEnv, out: Atom, approx_map: dict):
         self.env = env
         self.out = out
         self.iv = approx_map[out]
@@ -408,15 +404,11 @@ class SatChecker:
             self._degrade("objective template too large")
             return
         for c in self._obj.support:
-            cls = env.system.classes[c]
-            if len(cls.members) > max_class_size:
-                self._degrade(
-                    f"class {cls.label} has {len(cls.members)} members")
-                return
             if _class_vertices(env, c) is None:
-                self._degrade(f"class {cls.label} defeats vertex enumeration")
+                label = env.system.classes[c].label
+                self._degrade(f"class {label} defeats vertex enumeration")
                 return
-        cut = build_cut_system(env, approx_map, out, cut_cap)
+        cut = build_cut_system(env, approx_map, out)
         if not cut.identity:
             r = self._range_of(cut)
             if r is not None:
@@ -475,11 +467,10 @@ class SatChecker:
         return _overlap(wl, wu, r[0], r[1])
 
 
-def refine_output(env: CorrEnv, out: Atom, approx_map: dict, delta: float,
-                  max_class_size: int = DEFAULT_MAX_CLASS,
-                  cut_cap: int = DEFAULT_CUT_CAP) -> RefineOutcome:
+def refine_output(env: CorrEnv, out: Atom, approx_map: dict, delta: float
+                  ) -> RefineOutcome:
     """Delta-precise interval for one output, clamped into its approx interval."""
-    checker = SatChecker(env, out, approx_map, max_class_size, cut_cap)
+    checker = SatChecker(env, out, approx_map)
     iv = checker.iv
     bracket = bound_bounds(checker.sat, iv.lo, iv.hi, delta)
     l_lo, l_hi = binary_search(checker.sat, bracket.l_lo, bracket.l_hi,
@@ -496,23 +487,14 @@ def refine_output(env: CorrEnv, out: Atom, approx_map: dict, delta: float,
 
 
 def make_delta_precise(env: CorrEnv, approx_map: dict, outputs: list,
-                       delta: float,
-                       max_class_size: int = DEFAULT_MAX_CLASS,
-                       cut_cap: int = DEFAULT_CUT_CAP,
-                       jobs: int = 1) -> dict:
-    """Refine every output to a delta-precise interval.
+                       delta: float) -> dict:
+    """Refine every output to a delta-precise interval, one after another.
 
-    Outputs are independent tasks; with jobs > 1 they run on a thread pool
-    (the heavy lifting sits in numpy and scipy calls).
+    Each output gets its own satisfiability checker; the checkers share the
+    environment's memo tables, so later outputs reuse the class vertices
+    and correlation verdicts that earlier ones computed.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-
-    def work(out):
-        return out, refine_output(env, out, approx_map, delta,
-                                  max_class_size, cut_cap)
-
-    if jobs > 1 and len(outputs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return dict(pool.map(work, outputs))
-    return dict(work(out) for out in outputs)
+    return {out: refine_output(env, out, approx_map, delta)
+            for out in outputs}

@@ -44,10 +44,6 @@ def coeff_one() -> Coeff:
     return {_EMPTY: 1}
 
 
-def coeff_zero() -> Coeff:
-    return {}
-
-
 def joint_mono(a: Mono, b: Mono) -> Optional[Mono]:
     if (a[0] & b[1]) or (a[1] & b[0]):
         return None

@@ -8,7 +8,6 @@ from praline.approx import (
     approx_bounds,
     combine,
     conj_bound,
-    deriv_expr,
     disj_bound,
 )
 from praline.constraints import gen_constraints
@@ -136,13 +135,3 @@ class TestSoundness:
         for n, iv in typed.items():
             assert blunt[n].lo <= iv.lo + 1e-12
             assert iv.hi <= blunt[n].hi + 1e-12
-
-
-def test_deriv_expr_formula(roads):
-    env = env_for(roads)
-    bounds = approx_bounds(env)
-    target = [n for n in env.graph.nodes if str(n) == "path(1,7)"][0]
-    d = deriv_expr(env, target, bounds)
-    assert "path(1,5) & edge(5,7)" in d.formula
-    assert "path(1,6) & edge(6,7)" in d.formula
-    assert d.interval == bounds[target]

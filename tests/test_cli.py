@@ -99,15 +99,13 @@ class TestExitCodes:
 class TestJsonReport:
     def test_schema(self, roads_file, tmp_path, capsys):
         out_path = tmp_path / "report.json"
-        code = run(["solve", roads_file, "--json", str(out_path),
-                    "--seed", "7"])
+        code = run(["solve", roads_file, "--json", str(out_path)])
         capsys.readouterr()
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert set(doc) == {"facts", "meta"}
-        assert set(doc["meta"]) == {"delta", "seed", "elapsed_ms"}
+        assert set(doc["meta"]) == {"delta", "elapsed_ms"}
         assert doc["meta"]["delta"] == 0.01
-        assert doc["meta"]["seed"] == 7
         by_atom = {f["atom"]: f for f in doc["facts"]}
         fact = by_atom["path(1,7)"]
         assert set(fact) == {"atom", "lower", "upper", "mode", "flags"}
@@ -116,16 +114,32 @@ class TestJsonReport:
         assert [f["atom"] for f in doc["facts"]] == \
             sorted(f["atom"] for f in doc["facts"])
 
-    def test_same_seed_same_facts(self, roads_file, tmp_path, capsys):
+    def test_two_runs_give_same_facts(self, roads_file, tmp_path, capsys):
         docs = []
         for name in ("a.json", "b.json"):
             path = tmp_path / name
-            run(["solve", roads_file, "--json", str(path), "--seed", "3"])
+            run(["solve", roads_file, "--json", str(path)])
             doc = json.loads(path.read_text())
             doc["meta"].pop("elapsed_ms")
             docs.append(doc)
         capsys.readouterr()
         assert docs[0] == docs[1]
+
+    def test_one_grounding_per_solve(self, roads_file, tmp_path, capsys,
+                                     monkeypatch):
+        import praline.cli as cli
+        calls = []
+        ground = cli.solve_standard
+
+        def counted(program):
+            calls.append(program)
+            return ground(program)
+
+        monkeypatch.setattr(cli, "solve_standard", counted)
+        assert run(["solve", roads_file, "--json",
+                    str(tmp_path / "r.json")]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 class TestDumps:

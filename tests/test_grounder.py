@@ -5,7 +5,6 @@ from praline.grounder import (
     UnsafeRuleError,
     break_cycles,
     depends,
-    flatten,
     polarity,
     solve_standard,
 )
@@ -114,13 +113,6 @@ def test_self_loop_unfolds():
     g2 = break_cycles(g)
     assert g2.acyclic
     assert Atom("p") in g2.in_edges
-
-
-def test_flatten_signs():
-    g = ground("0.5::a. 0.5::b. 1::x :- b. 1::h :- a, \\+x.")
-    f = flatten(g)
-    assert (Atom("a"), Atom("h"), 1) in f.edges
-    assert (Atom("x"), Atom("h"), -1) in f.edges
 
 
 def test_depends_polarity():

@@ -8,13 +8,7 @@ from praline import parse
 from praline.constraints import check_feasible, gen_constraints
 from praline.grounder import solve_standard
 from praline.kernels import HAS_NUMBA, solve_supports
-from praline.optimizer import (
-    OptResult,
-    block_coordinate,
-    check_sat,
-    enumerate_class_vertices,
-    optimize_exact,
-)
+from praline.optimizer import enumerate_class_vertices, optimize_exact
 from praline.symexpr import context_from_program, eval_expr, gen_objective
 
 from conftest import ROADS_EXACT, SIXPACK_E
@@ -114,7 +108,6 @@ class TestExactOptimization:
         target = [n for n in graph.nodes if str(n) == "path(1,7)"][0]
         obj = gen_objective(graph, ctx, target)
         res = optimize_exact(obj, system)
-        assert res.exact
         assert_allclose([res.lo, res.hi], ROADS_EXACT, atol=1e-9)
 
     def test_roads_point_queries(self, roads):
@@ -151,34 +144,4 @@ class TestExactOptimization:
         from praline.symexpr import expr_const
         for v in (0, 1):
             res = optimize_exact(expr_const(ctx, v), system)
-            assert res.exact
             assert res.lo == res.hi == v
-
-
-class TestBlockCoordinate:
-    def test_finds_roads_extrema(self, roads):
-        graph, ctx, system = pipeline(roads)
-        target = [n for n in graph.nodes if str(n) == "path(1,7)"][0]
-        obj = gen_objective(graph, ctx, target)
-        res = block_coordinate(obj, system)
-        assert not res.exact
-        assert_allclose([res.lo, res.hi], ROADS_EXACT, atol=1e-6)
-
-    def test_inner_bounds_inside_exact(self, sixpack):
-        graph, ctx, system = pipeline(sixpack)
-        target = [n for n in graph.nodes if str(n) == "e"][0]
-        obj = gen_objective(graph, ctx, target)
-        exact = optimize_exact(obj, system)
-        inner = block_coordinate(obj, system)
-        assert exact.lo - 1e-9 <= inner.lo
-        assert inner.hi <= exact.hi + 1e-9
-
-
-def test_check_sat_windows():
-    res = OptResult(0.3, 0.6, {}, {}, True)
-    assert check_sat(res, 0.5, 0.7)
-    assert check_sat(res, 0.0, 0.3)
-    assert check_sat(res, 0.6, 0.9)
-    assert not check_sat(res, 0.65, 0.9)
-    assert not check_sat(res, 0.0, 0.25)
-    assert check_sat(res, 0.2, 0.8)

@@ -179,17 +179,6 @@ class TestRefineRoads:
             assert out.interval.lo == pytest.approx(0.36, abs=1e-9)
             assert out.interval.hi == pytest.approx(0.36, abs=1e-9)
 
-    def test_jobs_give_same_answers(self, roads):
-        env = env_for(roads)
-        m = approx_bounds(env)
-        outs = [node(env, s) for s in ["path(1,7)", "path(1,5)", "path(1,6)"]]
-        seq = make_delta_precise(env, m, outs, 0.05, jobs=1)
-        env2 = env_for(roads)
-        par = make_delta_precise(env2, approx_bounds(env2), outs, 0.05, jobs=3)
-        for o in outs:
-            assert seq[o].interval.lo == pytest.approx(par[o].interval.lo)
-            assert seq[o].interval.hi == pytest.approx(par[o].interval.hi)
-
 
 class TestRefineSmallPrograms:
     def test_conditional_pins_conjunction(self):
@@ -240,14 +229,6 @@ class TestSoundnessFallback:
         assert "soundness_only" in chk.flags
         assert chk.sat(m[node(env, "h")].lo, 1.0)
         assert not chk.sat(-0.5, -0.3)
-
-    def test_vertex_cap_degrades_even_past_the_size_limit(self):
-        env = env_for(self._wide_program())
-        m = approx_bounds(env)
-        h = node(env, "h")
-        out = refine_output(env, h, m, 0.05, max_class_size=13)
-        assert "soundness_only" in out.flags
-        assert out.interval.lo == pytest.approx(m[h].lo, abs=1e-9)
 
 
 class TestDeltaValidation:
