@@ -39,8 +39,6 @@ class ClassSystem:
     members: tuple[Atom, ...]
     a_eq: Optional[np.ndarray]  # includes the sum-to-one row; None when too big
     b_eq: Optional[np.ndarray]
-    a_ub: Optional[np.ndarray] = None  # rows a.x <= b, used by cut systems
-    b_ub: Optional[np.ndarray] = None
     pretty: list[str] = field(default_factory=list)
 
     @property
@@ -146,11 +144,8 @@ def feasible_point(cs: ClassSystem) -> Optional[np.ndarray]:
     """A point of one class polytope, or None when it is empty."""
     if cs.too_big:
         return np.full(cs.dim, 1.0 / cs.dim)
-    kwargs = {}
-    if cs.a_ub is not None and len(cs.a_ub):
-        kwargs = {"A_ub": cs.a_ub, "b_ub": cs.b_ub}
     res = linprog(np.zeros(cs.dim), A_eq=cs.a_eq, b_eq=cs.b_eq,
-                  bounds=(0, 1), method="highs", **kwargs)
+                  bounds=(0, 1), method="highs")
     if not res.success:
         return None
     return np.clip(res.x, 0.0, 1.0)
@@ -174,13 +169,10 @@ def class_range(cs: ClassSystem, row: np.ndarray) -> tuple[float, float]:
     """Exact [min, max] of a linear functional over one class polytope."""
     if cs.too_big:
         return 0.0, 1.0
-    kwargs = {}
-    if cs.a_ub is not None and len(cs.a_ub):
-        kwargs = {"A_ub": cs.a_ub, "b_ub": cs.b_ub}
     lo = linprog(row, A_eq=cs.a_eq, b_eq=cs.b_eq, bounds=(0, 1),
-                 method="highs", **kwargs)
+                 method="highs")
     hi = linprog(-row, A_eq=cs.a_eq, b_eq=cs.b_eq, bounds=(0, 1),
-                 method="highs", **kwargs)
+                 method="highs")
     if not (lo.success and hi.success):
         raise ValueError("class polytope is empty")
     return float(lo.fun), float(-hi.fun)

@@ -36,29 +36,19 @@ class OptResult:
     arg_hi: dict[int, np.ndarray]
 
 
-def _extended_system(cs: ClassSystem) -> tuple[np.ndarray, np.ndarray]:
-    a, b = cs.a_eq, cs.b_eq
-    if cs.a_ub is not None and len(cs.a_ub):
-        n_ub = cs.a_ub.shape[0]
-        a = np.block([[a, np.zeros((a.shape[0], n_ub))],
-                      [cs.a_ub, np.eye(n_ub)]])
-        b = np.concatenate([b, cs.b_ub])
-    return a, b
-
-
 def enumerate_class_vertices(cs: ClassSystem, lane: Optional[str] = None
                              ) -> np.ndarray:
     """All vertices of one class polytope, deduplicated and sorted.
 
-    Inequality rows are folded in through slack variables, which maps the
-    polytope's vertices one to one onto basic feasible solutions of an
-    equality system.  Rank-deficient column subsets are skipped on both
-    lanes; every vertex still shows up through one of its full-rank bases.
+    The polytope is {x >= 0 : a_eq x = b_eq}, so its vertices are the basic
+    feasible solutions of the equality system.  Rank-deficient column
+    subsets are skipped on both lanes; every vertex still shows up through
+    one of its full-rank bases.
     """
     if cs.too_big or cs.dim > VERTEX_DIM_CAP:
         raise DimensionCapExceeded(
             f"class {cs.label} too large for vertex enumeration")
-    a, b = _extended_system(cs)
+    a, b = cs.a_eq, cs.b_eq
     d = a.shape[1]
     r = int(np.linalg.matrix_rank(a))
     if comb(d, r) > SUPPORT_COMBO_CAP:
@@ -72,7 +62,7 @@ def enumerate_class_vertices(cs: ClassSystem, lane: Optional[str] = None
     keep = ok.copy()
     keep &= np.abs(a @ xs.T - b[:, None]).max(axis=0) <= RESIDUAL_TOL
     keep &= xs.min(axis=1) >= -1e-9
-    xs = np.clip(xs[keep][:, :cs.dim], 0.0, 1.0)
+    xs = np.clip(xs[keep], 0.0, 1.0)
     if not len(xs):
         raise ValueError(f"class {cs.label} polytope is empty")
     return np.unique(np.round(xs, 9), axis=0)
@@ -96,6 +86,10 @@ def optimize_exact(expr: ProbExpr, system: ConstraintSystem,
     verts = []
     for c in expr.support:
         if cache is not None and c in cache:
+            if cache[c] is None:
+                raise DimensionCapExceeded(
+                    f"class {system.classes[c].label} defeats vertex "
+                    "enumeration")
             verts.append(cache[c])
             continue
         vs = enumerate_class_vertices(system.classes[c])

@@ -153,9 +153,6 @@ class ExprContext:
     fact_bit: dict[Atom, tuple[int, int]]  # fact -> (class position, bit)
     event_var: dict[GroundRuleId, int]
     var_prob: dict[int, float]
-    # cut contexts stop at every known fact even if it has derivations;
-    # program contexts expand such hybrid nodes and add the input as one part
-    leaf_stop: bool = False
 
     @property
     def single(self) -> bool:
@@ -178,24 +175,6 @@ def context_from_program(program: Program, graph: DerivationGraph) -> ExprContex
         if v is not None:
             var_prob[v] = e.prob
     return ExprContext(classes, dict(program.fact_class), dict(graph.event_var), var_prob)
-
-
-def context_from_groups(groups: list[list[Atom]], graph: DerivationGraph) -> ExprContext:
-    """A context whose 'input facts' are arbitrary graph nodes (cut leaves)."""
-    single = len(groups) == 1
-    classes = []
-    fact_bit = {}
-    for i, members in enumerate(groups):
-        classes.append(ClassSpec("V" if single else f"V{i + 1}", tuple(members)))
-        for bit, a in enumerate(members):
-            fact_bit[a] = (i, bit)
-    var_prob = {}
-    for e in graph.edges:
-        v = graph.event_var.get(e.rule_id)
-        if v is not None:
-            var_prob[v] = e.prob
-    return ExprContext(classes, fact_bit, dict(graph.event_var), var_prob,
-                       leaf_stop=True)
 
 
 @dataclass
@@ -317,11 +296,10 @@ def gen_objective(graph: DerivationGraph, ctx: ExprContext, node: Atom,
                   memo: Optional[dict[Atom, ProbExpr]] = None) -> ProbExpr:
     """The probability expression of a node, bottom-up over its derivations.
 
-    Leaves are the facts known to the context (input facts, or cut nodes when
-    the context was built from groups).  A derived node is the fold of its
-    hyperedges: each edge contributes its event variable times the product of
-    its positive bodies' expressions and the negations of its negative
-    bodies', and edges combine by inclusion-exclusion.
+    Leaves are the input facts known to the context.  A derived node is the
+    fold of its hyperedges: each edge contributes its event variable times
+    the product of its positive bodies' expressions and the negations of its
+    negative bodies', and edges combine by inclusion-exclusion.
     """
     if memo is None:
         memo = {}
@@ -356,9 +334,9 @@ def gen_objective(graph: DerivationGraph, ctx: ExprContext, node: Atom,
 def _leaf_base(graph: DerivationGraph, ctx: ExprContext, n: Atom) -> Optional[Atom]:
     """The fact whose input expression a leaf node reads, else None."""
     if n in ctx.fact_bit:
-        if ctx.leaf_stop or n not in graph.in_edges:
-            return n
-        return None  # hybrid: an input fact that is also derivable
+        # a hybrid input fact that is also derivable is expanded, with the
+        # input added as one part of its disjunction
+        return None if n in graph.in_edges else n
     base = graph.as_input(n)
     if base is not None and n not in graph.in_edges:
         return base

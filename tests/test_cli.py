@@ -214,3 +214,19 @@ class TestPythonApi:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "path(1,7): [0.344448, 0.412992]" in proc.stdout
+
+
+class TestExactFallback:
+    def test_second_query_on_unenumerable_class(self):
+        # the first query's fallback caches the class as unenumerable; the
+        # second must read that cache as a fallback too, not crash
+        names = [f"a{i}" for i in range(1, 9)]
+        src = "".join(f"0.5::{a}.\n" for a in names) + \
+            f"corr({','.join(names)}).\n" \
+            "h :- a1, a2.\nk :- a3, a4.\nquery(h).\nquery(k).\n"
+        report = solve_source(src, mode="exact")
+        assert [f.atom for f in report.facts] == ["h", "k"]
+        for f in report.facts:
+            assert f.mode == "soundness_only"
+            assert f.flags == ["soundness_only"]
+            assert (f.lower, f.upper) == pytest.approx((0.0, 0.5), abs=1e-9)

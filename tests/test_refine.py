@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
 from praline import parse
 from praline.approx import approx_bounds
+from praline.cli import solve_source
 from praline.constraints import gen_constraints
 from praline.corrtypes import build_env
 from praline.frontend import BudgetExceeded
@@ -10,16 +13,32 @@ from praline.grounder import break_cycles, solve_standard
 from praline.refine import (
     BoundBracket,
     SatChecker,
+    _dep_classes,
     binary_search,
     bound_bounds,
-    build_cut_system,
     make_delta_precise,
     make_sat,
     refine_output,
 )
-from praline.symexpr import context_from_program
+from praline.symexpr import context_from_program, gen_objective
 
-from conftest import ROADS_APPROX, ROADS_DELTA_05, ROADS_EXACT
+from conftest import (
+    ROADS,
+    ROADS_APPROX,
+    ROADS_DELTA_05,
+    ROADS_EXACT,
+    SIXPACK,
+    random_program_source,
+)
+
+# ROADS with each last-leg edge in a 6-fact class: the two classes are each
+# enumerable, but their vertex product passes the global combination cap
+ROADS_PADDED = ROADS + """\
+0.5::u1.
+corr(edge(5,7),u1,u2,u3,u4,u5).
+0.5::v1.
+corr(edge(6,7),v1,v2,v3,v4,v5).
+"""
 
 
 def env_for(src_or_program):
@@ -92,52 +111,6 @@ class TestSearchPrimitives:
         assert br.l_lo <= 0.9 <= br.l_hi
 
 
-class TestCutSystem:
-    def test_roads_cut_groups(self, roads):
-        env = env_for(roads)
-        m = approx_bounds(env)
-        cut = build_cut_system(env, m, node(env, "path(1,7)"))
-        assert not cut.identity
-        assert {str(a) for a in cut.leaves} == \
-            {"path(1,5)", "path(1,6)", "edge(5,7)", "edge(6,7)"}
-        sizes = sorted(len(c.members) for c in cut.system.classes)
-        assert sizes == [1, 1, 2]
-        pair = next(c for c in cut.system.classes if len(c.members) == 2)
-        assert {str(a) for a in pair.members} == {"path(1,5)", "path(1,6)"}
-        assert any(">= 0.1296" in line for line in pair.pretty)
-
-    def test_roads_cut_range(self, roads):
-        env = env_for(roads)
-        m = approx_bounds(env)
-        chk = SatChecker(env, node(env, "path(1,7)"), m)
-        assert chk.used_cut
-        assert chk._cut_range == pytest.approx((0.3384, 0.467424), abs=1e-9)
-
-    def test_cut_range_contains_exact_range(self, roads):
-        env = env_for(roads)
-        m = approx_bounds(env)
-        chk = SatChecker(env, node(env, "path(1,7)"), m)
-        cut_lo, cut_hi = chk._cut_range
-        assert cut_lo <= ROADS_EXACT[0] + 1e-9
-        assert cut_hi >= ROADS_EXACT[1] - 1e-9
-
-    def test_cut_unsat_answers_before_switch(self, roads):
-        env = env_for(roads)
-        m = approx_bounds(env)
-        chk = SatChecker(env, node(env, "path(1,7)"), m)
-        assert not chk.switched
-        assert not chk.sat(0.30, 0.33)
-        assert not chk.switched
-        assert chk.sat(0.35, 0.36)
-        assert chk.switched
-
-    def test_depth_one_root_gets_identity_cut(self):
-        env = env_for("0.5 :: a. 0.5 :: b. q :- a, b. query(q).")
-        m = approx_bounds(env)
-        cut = build_cut_system(env, m, node(env, "q"))
-        assert cut.identity
-
-
 class TestRefineRoads:
     def test_delta_05_matches_pinned_trace(self, roads):
         env = env_for(roads)
@@ -146,7 +119,6 @@ class TestRefineRoads:
         assert out.interval.lo == pytest.approx(ROADS_DELTA_05[0], abs=1e-9)
         assert out.interval.hi == pytest.approx(ROADS_DELTA_05[1], abs=1e-9)
         assert "soundness_only" not in out.flags
-        assert "cut" in out.flags
 
     def test_delta_05_bracket_contains_truth(self, roads):
         env = env_for(roads)
@@ -229,6 +201,52 @@ class TestSoundnessFallback:
         assert "soundness_only" in chk.flags
         assert chk.sat(m[node(env, "h")].lo, 1.0)
         assert not chk.sat(-0.5, -0.3)
+
+    def test_large_class_builds_no_objective(self, monkeypatch):
+        env = env_for(self._wide_program())
+        m = approx_bounds(env)
+
+        def no_objective(*args, **kwargs):
+            raise AssertionError("objective built for an unenumerable class")
+
+        monkeypatch.setattr("praline.refine.gen_objective", no_objective)
+        chk = SatChecker(env, node(env, "h"), m)
+        assert "soundness_only" in chk.flags
+
+    def test_degradation_reason_is_logged(self, caplog):
+        env = env_for(self._wide_program())
+        m = approx_bounds(env)
+        with caplog.at_level(logging.WARNING, logger="praline"):
+            SatChecker(env, node(env, "h"), m)
+        msgs = [r.getMessage() for r in caplog.records
+                if r.name == "praline"]
+        assert len(msgs) == 1
+        assert msgs[0].startswith("delta bounds for h unavailable")
+        assert "class V defeats vertex enumeration" in msgs[0]
+
+    def test_vertex_product_cap_reports_approx_interval(self):
+        facts = {mode: solve_source(ROADS_PADDED, mode=mode, delta=0.05,
+                                    queries=["path(1,7)"]).facts[0]
+                 for mode in ("delta", "exact", "approx")}
+        d = facts["delta"]
+        assert d.mode == "soundness_only"
+        assert d.flags == ["soundness_only"]
+        assert facts["exact"].flags == ["soundness_only"]
+        for mode in ("exact", "approx"):
+            assert (d.lower, d.upper) == \
+                (facts[mode].lower, facts[mode].upper)
+        assert (d.lower, d.upper) == pytest.approx(ROADS_APPROX, abs=1e-9)
+
+
+class TestDependencyClasses:
+    def test_match_objective_support(self):
+        sources = [ROADS, SIXPACK] + \
+            [random_program_source(seed) for seed in range(30)]
+        for src in sources:
+            env = env_for(src)
+            for n in env.graph.nodes:
+                obj = gen_objective(env.graph, env.ctx, n)
+                assert _dep_classes(env, n) == obj.support, (src, n)
 
 
 class TestDeltaValidation:
