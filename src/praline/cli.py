@@ -28,14 +28,14 @@ from .frontend import (
     parse,
 )
 from .grounder import break_cycles, solve_standard
-from .optimizer import optimize_exact
+from .optimizer import optimize_exact  # noqa: F401  perfbench/spans.py patches it
 from .oracle import (
     build_world_space,
     exact_interval_oracle,
     sample_feasible_mu,
     world_probs,
 )
-from .refine import make_delta_precise
+from .refine import _exact_range, make_delta_precise
 from .symexpr import context_from_program, expr_str, gen_objective
 
 log = logging.getLogger("praline")
@@ -122,9 +122,8 @@ def solve_program(program, mode="delta", delta=0.01,
         approx_cache = None
         for out in outputs:
             try:
-                res = optimize_exact(gen_objective(work, ctx, out), system,
-                                     env._verts)
-                facts.append(FactBounds(str(out), res.lo, res.hi, "exact", []))
+                lo, hi = _exact_range(env, out)
+                facts.append(FactBounds(str(out), lo, hi, "exact", []))
             except DimensionCapExceeded as exc:
                 log.warning("exact bounds for %s unavailable (%s), "
                             "reporting approximate interval", out, exc)
@@ -165,9 +164,11 @@ def _dump(args, program):
     """Print what the --dump-* flags ask for, from a pipeline of its own.
 
     solve_program builds its pipeline separately, so only a dumping solve
-    grounds the program twice.
+    grounds the program twice.  An infeasible program dumps nothing.
     """
     work, ctx, system, env = _pipeline(program)
+    if check_feasible(system) is None:
+        raise InfeasibleError("No solution")
     if args.dump_graph:
         print("derivation graph:")
         for e in work.edges:

@@ -39,7 +39,10 @@ class ClassSystem:
     members: tuple[Atom, ...]
     a_eq: Optional[np.ndarray]  # includes the sum-to-one row; None when too big
     b_eq: Optional[np.ndarray]
-    pretty: list[str] = field(default_factory=list)
+    # (lhs row, rhs row or None for a marginal, p) of each declaration, kept
+    # to print the system on demand
+    decls: list[tuple[np.ndarray, Optional[np.ndarray], float]] = \
+        field(default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -48,6 +51,16 @@ class ClassSystem:
     @property
     def too_big(self) -> bool:
         return self.a_eq is None
+
+    def pretty(self) -> list[str]:
+        width = len(self.members)
+        out = []
+        for lhs, rhs, p in self.decls:
+            line = f"{_row_str(self.label, lhs, width)} = {p:g}"
+            if rhs is not None:
+                line += f" * ({_row_str(self.label, rhs, width)})"
+            out.append(line)
+        return out
 
 
 @dataclass
@@ -63,7 +76,7 @@ class ConstraintSystem:
             if cs.too_big:
                 lines.append("  (too large; simplex constraints only)")
                 continue
-            for p in cs.pretty:
+            for p in cs.pretty():
                 lines.append(f"  {p}")
             lines.append(f"  sum of {cs.label}[...] = 1, each in [0,1]")
         return "\n".join(lines)
@@ -91,7 +104,7 @@ def _row_str(label: str, vec: np.ndarray, width: int) -> str:
 def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
     rows: list[list[np.ndarray]] = [[] for _ in ctx.classes]
     vals: list[list[float]] = [[] for _ in ctx.classes]
-    pretty: list[list[str]] = [[] for _ in ctx.classes]
+    decls: list[list[tuple]] = [[] for _ in ctx.classes]
 
     def conj_expr(decl: InputProbDecl, skip_head: bool) -> ProbExpr:
         acc = None
@@ -113,18 +126,16 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
             continue
         dim = 1 << spec.size
         if decl.is_marginal:
-            row = _row_of(expr_of_input(ctx, decl.head), cpos, dim)
+            _, row = marginal_row(ctx, decl.head)
             rows[cpos].append(row)
             vals[cpos].append(decl.prob)
-            pretty[cpos].append(f"{_row_str(spec.label, row, spec.size)} = {decl.prob:g}")
+            decls[cpos].append((row, None, decl.prob))
         else:
             lhs = _row_of(conj_expr(decl, skip_head=False), cpos, dim)
             rhs = _row_of(conj_expr(decl, skip_head=True), cpos, dim)
             rows[cpos].append(lhs - decl.prob * rhs)
             vals[cpos].append(0.0)
-            pretty[cpos].append(
-                f"{_row_str(spec.label, lhs, spec.size)} = {decl.prob:g} * "
-                f"({_row_str(spec.label, rhs, spec.size)})")
+            decls[cpos].append((lhs, rhs, decl.prob))
 
     classes = []
     for cpos, spec in enumerate(ctx.classes):
@@ -136,7 +147,7 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
             else np.ones((1, dim))
         b = np.array([1.0] + vals[cpos])
         classes.append(ClassSystem(spec.label, spec.members, a, b,
-                                   pretty=pretty[cpos]))
+                                   decls=decls[cpos]))
     return ConstraintSystem(classes, dict(ctx.var_prob))
 
 
@@ -182,8 +193,4 @@ def marginal_row(ctx: ExprContext, fact: Atom) -> tuple[int, np.ndarray]:
     """Class position and 0/1 row selecting the assignments where fact holds."""
     cpos, bit = ctx.fact_bit[fact]
     dim = 1 << ctx.classes[cpos].size
-    vec = np.zeros(dim)
-    for i in range(dim):
-        if i >> bit & 1:
-            vec[i] = 1.0
-    return cpos, vec
+    return cpos, ((np.arange(dim) >> bit) & 1).astype(float)

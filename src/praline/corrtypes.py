@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from praline.constraints import ConstraintSystem, class_range
+from praline.constraints import ConstraintSystem, class_range, marginal_row
 from praline.frontend import Atom, DimensionCapExceeded, Program
 from praline.grounder import DerivationGraph, depends
 from praline.optimizer import enumerate_class_vertices
@@ -52,6 +52,8 @@ class CorrEnv:
     system: ConstraintSystem
     dep_pos: dict[Atom, frozenset]
     dep_neg: dict[Atom, frozenset]
+    # fact -> p of its declared marginal p::fact.
+    marginals: dict[Atom, float] = field(default_factory=dict)
     lookups: int = 0
     budget: int = EXPR_PAIR_BUDGET
     _verts: dict = field(default_factory=dict)
@@ -65,7 +67,8 @@ class CorrEnv:
 def build_env(program: Program, graph: DerivationGraph, ctx: ExprContext,
               system: ConstraintSystem) -> CorrEnv:
     dep_pos, dep_neg = depends(graph)
-    return CorrEnv(program, graph, ctx, system, dep_pos, dep_neg)
+    marginals = {d.head: d.prob for d in program.input_probs if d.is_marginal}
+    return CorrEnv(program, graph, ctx, system, dep_pos, dep_neg, marginals)
 
 
 def dep_sig(env: CorrEnv, node: Atom) -> DepSig:
@@ -74,15 +77,18 @@ def dep_sig(env: CorrEnv, node: Atom) -> DepSig:
 
 
 def _marginal_range(env: CorrEnv, fact: Atom) -> tuple[float, float]:
+    """Exact range of P(fact) over its class polytope, which must be non-empty.
+
+    A declared marginal p::fact. is one of the polytope's equalities, so
+    its range is [p, p] with no LP; a class too big for rows has none.
+    """
     if fact not in env._ranges:
-        cpos, bit = env.ctx.fact_bit[fact]
-        cs = env.system.classes[cpos]
-        dim = 1 << len(cs.members)
-        row = np.zeros(dim)
-        for i in range(dim):
-            if i >> bit & 1:
-                row[i] = 1.0
-        env._ranges[fact] = class_range(cs, row)
+        cs = env.system.classes[env.ctx.fact_bit[fact][0]]
+        p = env.marginals.get(fact)
+        if p is not None and not cs.too_big:
+            env._ranges[fact] = (p, p)
+        else:
+            env._ranges[fact] = class_range(cs, marginal_row(env.ctx, fact)[1])
     return env._ranges[fact]
 
 

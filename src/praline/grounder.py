@@ -321,7 +321,8 @@ def solve_standard(program: Program) -> DerivationGraph:
         rules_by_stratum[strata[r.head.functor]].append((i, r))
 
     # fixpoint per stratum, semi-naive: each round only joins through the
-    # atoms discovered in the previous round
+    # atoms discovered in the previous round, indexed like the database so
+    # a literal only meets the delta atoms of its own predicate
     for stratum_rules in rules_by_stratum:
         delta = list(db.all)
         for _, rule in stratum_rules:
@@ -330,15 +331,16 @@ def solve_standard(program: Program) -> DerivationGraph:
                 if db.add(head):
                     delta.append(head)
         while delta:
+            new = _Db()
+            for d in delta:
+                new.add(d)
             found: dict[Atom, None] = {}
             for _, rule in stratum_rules:
                 pos = [l.atom for l in rule.body if not l.negated]
                 if not pos:
                     continue
                 for j in range(len(pos)):
-                    for d in delta:
-                        if (d.functor, len(d.args)) != (pos[j].functor, len(pos[j].args)):
-                            continue
+                    for d in new.candidates(pos[j]):
                         for s in _join(pos, db, {}, pinned=(j, d)):
                             head = _apply(rule.head, s)
                             if head not in db.all:

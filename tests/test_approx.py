@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import praline.constraints
 from praline import parse
 from praline.approx import (
     Interval,
@@ -10,13 +11,20 @@ from praline.approx import (
     conj_bound,
     disj_bound,
 )
-from praline.constraints import gen_constraints
-from praline.corrtypes import CorrType, build_env
+from praline.constraints import class_range, gen_constraints, marginal_row
+from praline.corrtypes import CorrType, _marginal_range, build_env
+from praline.frontend import Atom
 from praline.grounder import break_cycles, solve_standard
 from praline.oracle import exact_interval_oracle
 from praline.symexpr import context_from_program
 
-from conftest import ROADS_APPROX, SIXPACK_E
+from conftest import (
+    ROADS,
+    ROADS_APPROX,
+    SIXPACK,
+    SIXPACK_E,
+    random_program_source,
+)
 
 
 def env_for(program):
@@ -135,3 +143,43 @@ class TestSoundness:
         for n, iv in typed.items():
             assert blunt[n].lo <= iv.lo + 1e-12
             assert iv.hi <= blunt[n].hi + 1e-12
+
+
+class TestMarginalRange:
+    def test_agrees_with_class_range(self):
+        sources = [ROADS, SIXPACK] + \
+            [random_program_source(seed) for seed in range(30)]
+        checked = 0
+        for src in sources:
+            program = parse(src)
+            env = env_for(program)
+            for fact in program.input_facts:
+                cpos, row = marginal_row(env.ctx, fact)
+                want = class_range(env.system.classes[cpos], row)
+                assert_allclose(_marginal_range(env, fact), want, atol=1e-9)
+                checked += 1
+        assert checked > 60
+
+    def test_declared_marginal_needs_no_lp(self, monkeypatch):
+        env = env_for(parse("0.5::a. 0.6::b|a. h :- a, b. query(h)."))
+        calls = []
+        real = praline.constraints.linprog
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(praline.constraints, "linprog", counted)
+        assert _marginal_range(env, Atom("a")) == (0.5, 0.5)
+        assert calls == []
+        # b is only constrained by the conditional: P(b) = 0.3 + P(b, not a)
+        assert_allclose(_marginal_range(env, Atom("b")), [0.3, 0.8],
+                        atol=1e-9)
+        assert len(calls) == 2
+
+    def test_too_big_class_keeps_unit_interval(self):
+        names = [f"f{i}" for i in range(17)]
+        env = env_for(parse(f"0.5::f0.\ncorr({','.join(names)}).\n"
+                            "q :- f0.\nquery(q).\n"))
+        assert env.system.classes[0].too_big
+        assert _marginal_range(env, Atom("f0")) == (0.0, 1.0)

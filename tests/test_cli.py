@@ -9,6 +9,11 @@ from praline.cli import run, solve_source
 
 from conftest import CONFLICT, ROADS, ROADS_APPROX, ROADS_EXACT
 
+# one 13-fact class: too large for vertex enumeration, small enough for rows
+WIDE = "".join(f"0.5 :: a{i}.\n" for i in range(1, 14)) + \
+    "".join(f"corr(a{i}, a{i + 1}).\n" for i in range(1, 13)) + \
+    "h :- a1, a2.\nquery(h).\n"
+
 
 @pytest.fixture
 def roads_file(tmp_path):
@@ -165,6 +170,15 @@ class TestDumps:
         out = capsys.readouterr().out
         assert "path(1,7) <-" in out
 
+    @pytest.mark.parametrize("flag", ["--dump-graph", "--dump-constraints",
+                                      "--dump-correlations", "--dump-exprs"])
+    def test_infeasible_program_dumps_nothing(self, tmp_path, capsys, flag):
+        f = tmp_path / "bad.pl"
+        f.write_text(CONFLICT)
+        code = run(["solve", str(f), flag])
+        assert code == 1
+        assert capsys.readouterr().out == "No solution\n"
+
 
 class TestOracleCommand:
     def test_oracle_matches_exact(self, roads_file, capsys):
@@ -199,10 +213,7 @@ class TestPythonApi:
         assert "underivable" in f.flags
 
     def test_soundness_only_surfaces_in_mode(self):
-        facts = "\n".join(f"0.5 :: a{i}." for i in range(1, 14))
-        corr = "\n".join(f"corr(a{i}, a{i + 1})." for i in range(1, 13))
-        src = f"{facts}\n{corr}\nh :- a1, a2.\nquery(h)."
-        report = solve_source(src, mode="delta", delta=0.05)
+        report = solve_source(WIDE, mode="delta", delta=0.05)
         f = report.facts[0]
         assert f.mode == "soundness_only"
         assert "soundness_only" in f.flags
@@ -230,3 +241,13 @@ class TestExactFallback:
             assert f.mode == "soundness_only"
             assert f.flags == ["soundness_only"]
             assert (f.lower, f.upper) == pytest.approx((0.0, 0.5), abs=1e-9)
+
+    def test_unenumerable_class_builds_no_objective(self, monkeypatch):
+        def no_objective(*args, **kwargs):
+            raise AssertionError("objective built for an unenumerable class")
+
+        monkeypatch.setattr("praline.refine.gen_objective", no_objective)
+        monkeypatch.setattr("praline.cli.gen_objective", no_objective)
+        f = solve_source(WIDE, mode="exact").facts[0]
+        assert f.mode == "soundness_only"
+        assert f.flags == ["soundness_only"]

@@ -1,13 +1,20 @@
+import itertools
+
 import pytest
 
 from praline import Atom, NonStratifiedError, parse
+from praline.frontend import is_var
 from praline.grounder import (
+    GroundRuleId,
+    Hyperedge,
     UnsafeRuleError,
     break_cycles,
     depends,
     polarity,
     solve_standard,
 )
+
+from conftest import ROADS, random_program_source
 
 
 def ground(src):
@@ -149,3 +156,101 @@ def test_topo_order(roads):
     for e in g.edges:
         for b in e.bodies():
             assert order[b] < order[e.head]
+
+
+# A chain with a back link on every third step, so path/2 is recursive
+# through cycles, and a transitive closure joining two recursive literals.
+CHAIN = "".join(f"0.5::edge({i},{i + 1}).\n" for i in range(7)) + \
+    "".join(f"0.5::edge({i + 1},{i - 1}).\n" for i in range(2, 7, 3)) + """\
+0.9::path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y), edge(Y,Z).
+query(path(0,7)).
+"""
+CLOSURE = """\
+0.5::e(1,2). 0.5::e(2,1). 0.5::e(2,3). 0.5::e(3,4).
+1::r(X,Y) :- e(X,Y).
+1::r(X,Z) :- r(X,Y), r(Y,Z).
+1::s(X) :- r(X,X), \\+e(X,3).
+query(r(1,4)).
+"""
+# Each derivation needs the atom found in the round before at its second
+# literal, and the final enumeration pass alone cannot recover t(1).
+LAYERS = """\
+0.5::e(1). 0.5::f(1).
+1::p(X) :- f(X).
+1::q(X) :- e(X), p(X).
+1::t(X) :- e(X), q(X).
+1::u(X) :- f(X), \\+t(X).
+query(u(1)).
+"""
+
+
+def _unify(pattern, atom, s):
+    if (pattern.functor, len(pattern.args)) != (atom.functor, len(atom.args)):
+        return None
+    s = dict(s)
+    for p, a in zip(pattern.args, atom.args):
+        if is_var(p):
+            if s.setdefault(p, a) != a:
+                return None
+        elif p != a:
+            return None
+    return s
+
+
+def _subst(atom, s):
+    return Atom(atom.functor,
+                tuple(s.get(a, a) if is_var(a) else a for a in atom.args))
+
+
+def _firings(pos, model):
+    for combo in itertools.product(model, repeat=len(pos)):
+        s = {}
+        for pattern, atom in zip(pos, combo):
+            s = _unify(pattern, atom, s)
+            if s is None:
+                break
+        if s is not None:
+            yield s
+
+
+def naive_ground(program):
+    """Model and hyperedges by naive evaluation: every rule, every round."""
+    model = set(program.input_facts)
+    while True:
+        found = {_subst(r.head, s) for r in program.rules
+                 for s in _firings([l.atom for l in r.body if not l.negated],
+                                   model)}
+        if found <= model:
+            break
+        model |= found
+    edges = set()
+    for i, r in enumerate(program.rules):
+        pos = [l.atom for l in r.body if not l.negated]
+        neg = [l.atom for l in r.body if l.negated]
+        for s in _firings(pos, model):
+            edges.add(Hyperedge(
+                _subst(r.head, s), tuple(_subst(a, s) for a in pos),
+                tuple(n for a in neg if (n := _subst(a, s)) in model),
+                GroundRuleId(i, tuple(sorted(s.items()))), r.prob))
+    return model, edges
+
+
+def _assert_matches_naive(src):
+    program = parse(src)
+    g = solve_standard(program)
+    model, edges = naive_ground(program)
+    assert set(g.nodes) == model
+    assert set(g.edges) == edges
+    assert len(g.edges) == len(edges)
+
+
+@pytest.mark.parametrize("src", [ROADS, CHAIN, CLOSURE, LAYERS],
+                         ids=["roads", "chain", "closure", "layers"])
+def test_semi_naive_matches_naive_fixpoint(src):
+    _assert_matches_naive(src)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_semi_naive_matches_naive_fixpoint_random(seed):
+    _assert_matches_naive(random_program_source(seed))
