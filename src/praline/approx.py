@@ -2,7 +2,9 @@
 
 One topological pass over the derivation graph assigns every node an
 interval guaranteed to contain its probability under every feasible joint
-distribution.  Leaves get exact marginal ranges from their class polytopes;
+distribution.  Leaves get exact marginal ranges from their class polytopes,
+read by each `ClassSystem` off a declared marginal or its vertex set, and
+from HiGHS only for a class past the vertex enumeration caps;
 conjunctions and disjunctions combine operand intervals with the bound
 matching the correlation type between the operands.  All combinators are
 monotone, so interval endpoints combine endpoint-wise.
@@ -21,7 +23,6 @@ from praline.corrtypes import (
     CorrEnv,
     CorrType,
     DepSig,
-    _class_vertices,
     _marginal_range,
     infer_expr_pair,
 )
@@ -33,13 +34,6 @@ from praline.symexpr import eval_expr, gen_objective
 class Interval:
     lo: float
     hi: float
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, other: "Interval", tol: float = 0.0) -> bool:
-        return self.lo - tol <= other.lo and other.hi <= self.hi + tol
 
     def __str__(self) -> str:
         return f"[{self.lo:.6g}, {self.hi:.6g}]"
@@ -82,15 +76,6 @@ def _negate(x: tuple[Interval, DepSig]) -> tuple[Interval, DepSig]:
 PINNED_TOL = 1e-12
 
 
-def _pinned_dist(env: CorrEnv, cpos: int):
-    """The unique class distribution when the polytope is a single point."""
-    if cpos not in env._pinned:
-        verts = _class_vertices(env, cpos)
-        env._pinned[cpos] = verts[0] \
-            if verts is not None and len(verts) == 1 else None
-    return env._pinned[cpos]
-
-
 def _pinned_value(env: CorrEnv, node: Atom, sig: DepSig):
     """Exact probability when every class under the node is pinned.
 
@@ -103,10 +88,10 @@ def _pinned_value(env: CorrEnv, node: Atom, sig: DepSig):
     classes = {env.ctx.fact_bit[f][0] for part in sig for f in part}
     dists = [None] * len(env.ctx.classes)
     for cpos in classes:
-        dist = _pinned_dist(env, cpos)
-        if dist is None:
+        verts = env.system.classes[cpos].vertices()
+        if verts is None or len(verts) != 1:
             return None
-        dists[cpos] = dist
+        dists[cpos] = verts[0]
     try:
         obj = gen_objective(env.graph, env.ctx, node, env._exprs)
     except DimensionCapExceeded:

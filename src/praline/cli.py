@@ -226,14 +226,13 @@ def _cmd_oracle(args, program) -> int:
         raise InfeasibleError("No solution")
     outputs, absent = _select_outputs(program, work, args.query)
     rng = np.random.default_rng(args.seed)
-    cache = {}
     sampled = None
     if outputs:
         ws = build_world_space(program, work)
-        mus = sample_feasible_mu(system, rng, args.samples, cache)
+        mus = sample_feasible_mu(system, rng, args.samples)
         sampled = world_probs(outputs, mus, ws)
     for j, out in enumerate(outputs):
-        lo, hi = exact_interval_oracle(out, program, system, cache)
+        lo, hi = exact_interval_oracle(out, program, system)
         col = sampled[:, j]
         print(f"{out}: exact [{lo:.6g}, {hi:.6g}], "
               f"{args.samples} sampled mu in [{col.min():.6g}, "

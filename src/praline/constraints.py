@@ -8,6 +8,14 @@ span classes).  Conditionals stay in product form,
 
 never divided through, so zero-probability givens cannot poison the system.
 Each class also carries the simplex constraints (nonnegative, sum to one).
+
+A `ClassSystem` is the one owner of the answers about its polytope: its
+vertices, the range of a linear functional over it, a feasible point, and
+each member's marginal range.  All of them are read off the vertex set,
+enumerated once: a bounded polytope is empty exactly when it has no vertex,
+and a linear functional reaches its min and max at vertices.  HiGHS runs only
+for a class past the vertex enumeration caps, and to confirm that a class
+with no enumerated vertex is empty.
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from praline.frontend import Atom, InputProbDecl, Program, format_bits
+from praline import optimizer
+from praline.frontend import (Atom, DimensionCapExceeded, InputProbDecl,
+                              Program, format_bits)
 from praline.symexpr import (
     ExprContext,
     ProbExpr,
@@ -43,6 +53,12 @@ class ClassSystem:
     # to print the system on demand
     decls: list[tuple[np.ndarray, Optional[np.ndarray], float]] = \
         field(default_factory=list)
+    # member bit -> p of its declared marginal p::member.
+    marginals: dict[int, float] = field(default_factory=dict)
+    _verts: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    _enumerated: bool = field(default=False, init=False, repr=False)
+    _ranges: dict[int, tuple[float, float]] = \
+        field(default_factory=dict, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -51,6 +67,65 @@ class ClassSystem:
     @property
     def too_big(self) -> bool:
         return self.a_eq is None
+
+    def vertices(self) -> Optional[np.ndarray]:
+        """All vertices of the polytope, enumerated once.
+
+        None when the class is past a vertex enumeration cap, or when no
+        vertex was found (the polytope is then empty, up to rounding).
+        """
+        if not self._enumerated:
+            self._enumerated = True
+            try:
+                verts = optimizer.enumerate_class_vertices(self)
+            except DimensionCapExceeded:
+                verts = []
+            self._verts = verts if len(verts) else None
+        return self._verts
+
+    def _lp(self, c: np.ndarray):
+        res = linprog(c, A_eq=self.a_eq, b_eq=self.b_eq, bounds=(0, 1),
+                      method="highs")
+        return res if res.success else None
+
+    def feasible_point(self) -> Optional[np.ndarray]:
+        """A point of the polytope, or None when it is empty."""
+        if self.too_big:
+            return np.full(self.dim, 1.0 / self.dim)
+        verts = self.vertices()
+        if verts is not None:
+            return verts[0]
+        res = self._lp(np.zeros(self.dim))
+        return None if res is None else np.clip(res.x, 0.0, 1.0)
+
+    def range(self, row: np.ndarray) -> tuple[float, float]:
+        """Exact [min, max] of a linear functional over the polytope.
+
+        The polytope must be non-empty.  A class too big for rows gets the
+        unit interval, which bounds every 0/1 row.
+        """
+        if self.too_big:
+            return 0.0, 1.0
+        verts = self.vertices()
+        if verts is not None:
+            vals = verts @ row
+            return float(vals.min()), float(vals.max())
+        lo, hi = self._lp(row), self._lp(-row)
+        if lo is None or hi is None:
+            raise ValueError(f"class {self.label} polytope is empty")
+        return float(lo.fun), float(-hi.fun)
+
+    def marginal_range(self, bit: int) -> tuple[float, float]:
+        """Exact range of P(member at bit) over the non-empty polytope.
+
+        A declared marginal p::member. is one of the polytope's equalities,
+        so its range is [p, p] with no vertex or LP.
+        """
+        if bit not in self._ranges:
+            p = self.marginals.get(bit)
+            self._ranges[bit] = (p, p) if p is not None \
+                else self.range(bit_row(self.dim, bit))
+        return self._ranges[bit]
 
     def pretty(self) -> list[str]:
         width = len(self.members)
@@ -105,6 +180,7 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
     rows: list[list[np.ndarray]] = [[] for _ in ctx.classes]
     vals: list[list[float]] = [[] for _ in ctx.classes]
     decls: list[list[tuple]] = [[] for _ in ctx.classes]
+    marginals: list[dict[int, float]] = [{} for _ in ctx.classes]
 
     def conj_expr(decl: InputProbDecl, skip_head: bool) -> ProbExpr:
         acc = None
@@ -120,16 +196,17 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
         return acc
 
     for decl in program.input_probs:
-        cpos, _ = ctx.fact_bit[decl.head]
+        cpos, bit = ctx.fact_bit[decl.head]
         spec = ctx.classes[cpos]
         if spec.size > MAX_CONSTRAINT_BITS:
             continue
         dim = 1 << spec.size
         if decl.is_marginal:
-            _, row = marginal_row(ctx, decl.head)
+            row = bit_row(dim, bit)
             rows[cpos].append(row)
             vals[cpos].append(decl.prob)
             decls[cpos].append((row, None, decl.prob))
+            marginals[cpos][bit] = decl.prob
         else:
             lhs = _row_of(conj_expr(decl, skip_head=False), cpos, dim)
             rhs = _row_of(conj_expr(decl, skip_head=True), cpos, dim)
@@ -147,19 +224,8 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
             else np.ones((1, dim))
         b = np.array([1.0] + vals[cpos])
         classes.append(ClassSystem(spec.label, spec.members, a, b,
-                                   decls=decls[cpos]))
+                                   decls[cpos], marginals[cpos]))
     return ConstraintSystem(classes, dict(ctx.var_prob))
-
-
-def feasible_point(cs: ClassSystem) -> Optional[np.ndarray]:
-    """A point of one class polytope, or None when it is empty."""
-    if cs.too_big:
-        return np.full(cs.dim, 1.0 / cs.dim)
-    res = linprog(np.zeros(cs.dim), A_eq=cs.a_eq, b_eq=cs.b_eq,
-                  bounds=(0, 1), method="highs")
-    if not res.success:
-        return None
-    return np.clip(res.x, 0.0, 1.0)
 
 
 def check_feasible(system: ConstraintSystem) -> Optional[list[np.ndarray]]:
@@ -169,28 +235,14 @@ def check_feasible(system: ConstraintSystem) -> Optional[list[np.ndarray]]:
     """
     witness = []
     for cs in system.classes:
-        x = feasible_point(cs)
+        x = cs.feasible_point()
         if x is None:
             return None
         witness.append(x)
     return witness
 
 
-def class_range(cs: ClassSystem, row: np.ndarray) -> tuple[float, float]:
-    """Exact [min, max] of a linear functional over one class polytope."""
-    if cs.too_big:
-        return 0.0, 1.0
-    lo = linprog(row, A_eq=cs.a_eq, b_eq=cs.b_eq, bounds=(0, 1),
-                 method="highs")
-    hi = linprog(-row, A_eq=cs.a_eq, b_eq=cs.b_eq, bounds=(0, 1),
-                 method="highs")
-    if not (lo.success and hi.success):
-        raise ValueError("class polytope is empty")
-    return float(lo.fun), float(-hi.fun)
+def bit_row(dim: int, bit: int) -> np.ndarray:
+    """0/1 row selecting the assignments where the member at bit holds."""
+    return ((np.arange(dim) >> bit) & 1).astype(float)
 
-
-def marginal_row(ctx: ExprContext, fact: Atom) -> tuple[int, np.ndarray]:
-    """Class position and 0/1 row selecting the assignments where fact holds."""
-    cpos, bit = ctx.fact_bit[fact]
-    dim = 1 << ctx.classes[cpos].size
-    return cpos, ((np.arange(dim) >> bit) & 1).astype(float)

@@ -6,6 +6,8 @@ feasible joint distribution, so they are proven against the class polytope:
 the covariance of two same-class facts is a quadratic over the polytope,
 and its range is bracketed from outside by a bilinear form evaluated on all
 vertex pairs.  Facts in different classes are independent by construction.
+Vertices and marginal ranges come from the class's `ClassSystem`, which
+enumerates and memoizes them; this module keeps no copy.
 
 Derived events inherit types from the input facts they depend on, with
 polarity flips across negation; any mixed or undecidable pair degrades to
@@ -16,14 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
-from praline.constraints import ConstraintSystem, class_range, marginal_row
-from praline.frontend import Atom, DimensionCapExceeded, Program
+from praline.constraints import ConstraintSystem
+from praline.frontend import Atom, Program
 from praline.grounder import DerivationGraph, depends
-from praline.optimizer import enumerate_class_vertices
+# read only by perfbench/spans.py; vertices come from ClassSystem.vertices
+from praline.optimizer import enumerate_class_vertices  # noqa: F401
 from praline.symexpr import ExprContext
 
 SIGN_TOL = 1e-7
@@ -52,23 +54,17 @@ class CorrEnv:
     system: ConstraintSystem
     dep_pos: dict[Atom, frozenset]
     dep_neg: dict[Atom, frozenset]
-    # fact -> p of its declared marginal p::fact.
-    marginals: dict[Atom, float] = field(default_factory=dict)
     lookups: int = 0
     budget: int = EXPR_PAIR_BUDGET
-    _verts: dict = field(default_factory=dict)
-    _ranges: dict = field(default_factory=dict)
     _fact_memo: dict = field(default_factory=dict)
     _expr_memo: dict = field(default_factory=dict)
-    _pinned: dict = field(default_factory=dict)
     _exprs: dict = field(default_factory=dict)
 
 
 def build_env(program: Program, graph: DerivationGraph, ctx: ExprContext,
               system: ConstraintSystem) -> CorrEnv:
     dep_pos, dep_neg = depends(graph)
-    marginals = {d.head: d.prob for d in program.input_probs if d.is_marginal}
-    return CorrEnv(program, graph, ctx, system, dep_pos, dep_neg, marginals)
+    return CorrEnv(program, graph, ctx, system, dep_pos, dep_neg)
 
 
 def dep_sig(env: CorrEnv, node: Atom) -> DepSig:
@@ -77,29 +73,9 @@ def dep_sig(env: CorrEnv, node: Atom) -> DepSig:
 
 
 def _marginal_range(env: CorrEnv, fact: Atom) -> tuple[float, float]:
-    """Exact range of P(fact) over its class polytope, which must be non-empty.
-
-    A declared marginal p::fact. is one of the polytope's equalities, so
-    its range is [p, p] with no LP; a class too big for rows has none.
-    """
-    if fact not in env._ranges:
-        cs = env.system.classes[env.ctx.fact_bit[fact][0]]
-        p = env.marginals.get(fact)
-        if p is not None and not cs.too_big:
-            env._ranges[fact] = (p, p)
-        else:
-            env._ranges[fact] = class_range(cs, marginal_row(env.ctx, fact)[1])
-    return env._ranges[fact]
-
-
-def _class_vertices(env: CorrEnv, cpos: int) -> Optional[np.ndarray]:
-    if cpos not in env._verts:
-        try:
-            env._verts[cpos] = enumerate_class_vertices(
-                env.system.classes[cpos])
-        except (DimensionCapExceeded, ValueError):
-            env._verts[cpos] = None
-    return env._verts[cpos]
+    """Exact range of P(fact) over its non-empty class polytope."""
+    cpos, bit = env.ctx.fact_bit[fact]
+    return env.system.classes[cpos].marginal_range(bit)
 
 
 def _is_constant(env: CorrEnv, fact: Atom) -> bool:
@@ -129,7 +105,7 @@ def _input_pair(env: CorrEnv, a: Atom, b: Atom) -> CorrType:
     cb, bit_b = env.ctx.fact_bit[b]
     if ca != cb:
         return CorrType.INDEP
-    verts = _class_vertices(env, ca)
+    verts = env.system.classes[ca].vertices()
     if verts is None:
         return CorrType.UNKNOWN
     dim = verts.shape[1]

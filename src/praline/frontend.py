@@ -147,9 +147,6 @@ class CorrelationClass:
     def __len__(self) -> int:
         return len(self.members)
 
-    def bit_of(self, atom: Atom) -> int:
-        return self.members.index(atom)
-
 
 @dataclass
 class Program:

@@ -267,12 +267,14 @@ class _Db:
 
     def __init__(self):
         self.by_pred: dict[tuple[str, int], list[Atom]] = {}
-        self.all: set[Atom] = set()
+        # a dict, not a set: insertion order keeps grounding order, and the
+        # graph it builds, the same under every hash seed
+        self.all: dict[Atom, None] = {}
 
     def add(self, a: Atom) -> bool:
         if a in self.all:
             return False
-        self.all.add(a)
+        self.all[a] = None
         self.by_pred.setdefault((a.functor, len(a.args)), []).append(a)
         return True
 

@@ -3,8 +3,11 @@
 The objective generated for a derived fact is multilinear in the joint
 distributions of the correlation classes it depends on.  A multilinear
 function over a product of polytopes attains its extrema at products of
-polytope vertices, so the exact optimum is a finite search: enumerate each
+polytope vertices, so the exact optimum is a finite search: take each
 class polytope's vertices and scan all combinations by tensor contraction.
+
+Vertex enumeration lives here; each `ClassSystem` calls it once and keeps
+the result, which its ranges, feasible point and this search all read.
 """
 
 from __future__ import annotations
@@ -12,15 +15,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.optimize import linprog  # noqa: F401  perfbench/spans.py patches it
 
-from praline.constraints import ClassSystem, ConstraintSystem
 from praline.frontend import DimensionCapExceeded
 from praline.kernels import solve_supports
 from praline.symexpr import ProbExpr, coeff_eval
+
+if TYPE_CHECKING:
+    from praline.constraints import ClassSystem, ConstraintSystem
 
 VERTEX_DIM_CAP = 64
 SUPPORT_COMBO_CAP = 200_000
@@ -38,12 +43,14 @@ class OptResult:
 
 def enumerate_class_vertices(cs: ClassSystem, lane: Optional[str] = None
                              ) -> np.ndarray:
-    """All vertices of one class polytope, deduplicated and sorted.
+    """All vertices of one class polytope, deduplicated; no rows if it is empty.
 
     The polytope is {x >= 0 : a_eq x = b_eq}, so its vertices are the basic
     feasible solutions of the equality system.  Rank-deficient column
     subsets are skipped on both lanes; every vertex still shows up through
-    one of its full-rank bases.
+    one of its full-rank bases.  Solutions that agree to 9 decimals are one
+    vertex, kept as its first unrounded solution, in rounded sorted order.
+    Raises DimensionCapExceeded for a class past a cap.
     """
     if cs.too_big or cs.dim > VERTEX_DIM_CAP:
         raise DimensionCapExceeded(
@@ -63,9 +70,7 @@ def enumerate_class_vertices(cs: ClassSystem, lane: Optional[str] = None
     keep &= np.abs(a @ xs.T - b[:, None]).max(axis=0) <= RESIDUAL_TOL
     keep &= xs.min(axis=1) >= -1e-9
     xs = np.clip(xs[keep], 0.0, 1.0)
-    if not len(xs):
-        raise ValueError(f"class {cs.label} polytope is empty")
-    return np.unique(np.round(xs, 9), axis=0)
+    return xs[np.unique(np.round(xs, 9), axis=0, return_index=True)[1]]
 
 
 def _dense_template(expr: ProbExpr, var_prob: dict[int, float]) -> np.ndarray:
@@ -77,25 +82,28 @@ def _dense_template(expr: ProbExpr, var_prob: dict[int, float]) -> np.ndarray:
     return t
 
 
-def optimize_exact(expr: ProbExpr, system: ConstraintSystem,
-                   cache: Optional[dict] = None) -> OptResult:
+def support_vertices(system: ConstraintSystem, support) -> list[np.ndarray]:
+    """Vertex set of each class in support.
+
+    Raises DimensionCapExceeded when one of them has none to offer.
+    """
+    verts = []
+    for c in support:
+        vs = system.classes[c].vertices()
+        if vs is None:
+            raise DimensionCapExceeded(
+                f"class {system.classes[c].label} defeats vertex "
+                "enumeration")
+        verts.append(vs)
+    return verts
+
+
+def optimize_exact(expr: ProbExpr, system: ConstraintSystem) -> OptResult:
     """Exact range of the expression over the feasible distributions."""
     if not expr.support:
         v = coeff_eval(expr.terms.get((), {}), system.var_prob)
         return OptResult(v, v, {}, {})
-    verts = []
-    for c in expr.support:
-        if cache is not None and c in cache:
-            if cache[c] is None:
-                raise DimensionCapExceeded(
-                    f"class {system.classes[c].label} defeats vertex "
-                    "enumeration")
-            verts.append(cache[c])
-            continue
-        vs = enumerate_class_vertices(system.classes[c])
-        if cache is not None:
-            cache[c] = vs
-        verts.append(vs)
+    verts = support_vertices(system, expr.support)
     total = 1
     for vs in verts:
         total *= len(vs)

@@ -17,19 +17,12 @@ import numpy as np
 from praline.constraints import (
     ConstraintSystem,
     check_feasible,
-    feasible_point,
     gen_constraints,
 )
-from praline.frontend import (
-    Atom,
-    DimensionCapExceeded,
-    InfeasibleError,
-    Program,
-    ScaleError,
-)
+from praline.frontend import Atom, InfeasibleError, Program, ScaleError
 from praline.grounder import DerivationGraph, break_cycles, solve_standard
 from praline.kernels import fixpoint_table, world_weights
-from praline.optimizer import enumerate_class_vertices, optimize_exact
+from praline.optimizer import optimize_exact
 from praline.symexpr import context_from_program, gen_objective
 
 MAX_WORLD_BITS = 24
@@ -199,23 +192,13 @@ def pair_probs(a: Atom, b: Atom, mus: list[list[np.ndarray]],
 
 
 def sample_feasible_mu(system: ConstraintSystem, rng: np.random.Generator,
-                       count: int, cache: Optional[dict] = None
-                       ) -> list[list[np.ndarray]]:
+                       count: int) -> list[list[np.ndarray]]:
     """Random feasible per-class distributions: vertex picks and mixtures."""
     sources = []
-    for cpos, cs in enumerate(system.classes):
-        verts = None
-        if cache is not None and cpos in cache:
-            verts = cache[cpos]
-        else:
-            try:
-                verts = enumerate_class_vertices(cs)
-                if cache is not None:
-                    cache[cpos] = verts
-            except (DimensionCapExceeded, ValueError):
-                verts = None
+    for cs in system.classes:
+        verts = cs.vertices()
         if verts is None:
-            point = feasible_point(cs)
+            point = cs.feasible_point()
             if point is None:
                 raise InfeasibleError("No solution")
             sources.append(("point", point))
@@ -238,8 +221,7 @@ def sample_feasible_mu(system: ConstraintSystem, rng: np.random.Generator,
 
 
 def exact_interval_oracle(output: Atom, program: Program,
-                          system: Optional[ConstraintSystem] = None,
-                          cache: Optional[dict] = None
+                          system: Optional[ConstraintSystem] = None
                           ) -> tuple[float, float]:
     """Exact probability bounds for one output via full vertex search."""
     graph = solve_standard(program)
@@ -253,5 +235,5 @@ def exact_interval_oracle(output: Atom, program: Program,
     if output not in graph.nodes:
         return 0.0, 0.0  # underivable: false in every world
     obj = gen_objective(graph, ctx, output)
-    res = optimize_exact(obj, system, cache=cache)
+    res = optimize_exact(obj, system)
     return res.lo, res.hi

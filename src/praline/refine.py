@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 from .frontend import Atom, BudgetExceeded, DimensionCapExceeded
 from .symexpr import gen_objective
-from .optimizer import optimize_exact
-from .corrtypes import CorrEnv, _class_vertices, dep_sig
+from .optimizer import optimize_exact, support_vertices
+from .corrtypes import CorrEnv, dep_sig
 from .corrtypes import node_pair  # noqa: F401  read only by perfbench/spans.py
 from .approx import Interval
 
@@ -133,13 +133,9 @@ def _exact_range(env: CorrEnv, out: Atom) -> tuple[float, float]:
     before the objective is built, so an out-of-reach class costs no
     objective.  Raises DimensionCapExceeded when the range is out of reach.
     """
-    for c in _dep_classes(env, out):
-        if _class_vertices(env, c) is None:
-            raise DimensionCapExceeded(
-                f"class {env.system.classes[c].label} defeats vertex "
-                "enumeration")
+    support_vertices(env.system, _dep_classes(env, out))
     obj = gen_objective(env.graph, env.ctx, out)
-    res = optimize_exact(obj, env.system, env._verts)
+    res = optimize_exact(obj, env.system)
     return res.lo, res.hi
 
 
@@ -191,9 +187,9 @@ def make_delta_precise(env: CorrEnv, approx_map: dict, outputs: list,
                        delta: float) -> dict:
     """Refine every output to a delta-precise interval, one after another.
 
-    Each output gets its own satisfiability checker; the checkers share the
-    environment's vertex cache, so later outputs reuse the class vertices
-    that earlier ones enumerated.
+    Each output gets its own satisfiability checker.  Each class system
+    enumerates its vertices once and keeps them, so later outputs reuse the
+    class vertices that earlier ones enumerated.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")

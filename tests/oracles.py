@@ -3,6 +3,8 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 
 def _reduce(mat, width):
     """In-place Gauss-Jordan over Fractions; returns pivot row count."""
@@ -78,3 +80,16 @@ def rational_vertices(rows, rhs):
                for i in range(len(a))):
             verts.add(tuple(x))
     return sorted(verts)
+
+
+def assert_same_rows(got, want, atol):
+    """Two vertex sets are equal up to atol, in whatever row order.
+
+    Each row of either set must have a row of the other within atol (max
+    norm), so neither set holds a vertex the other lacks.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
+    assert dist.min(axis=1).max() <= atol
+    assert dist.min(axis=0).max() <= atol

@@ -212,7 +212,6 @@ def test_criterion_6_soundness_property_suite():
         table = world_probs(outputs, mus, space) if outputs else None
 
         exact = {}
-        cache = {}
         for j, out in enumerate(outputs):
             try:
                 obj = gen_objective(work, ctx, out)
@@ -224,7 +223,7 @@ def test_criterion_6_soundness_property_suite():
                 assert got == pytest.approx(table[mi, j], abs=1e-9), \
                     f"seed {seed} algebra mismatch on {out}"
                 counts["algebra"] += 1
-            res = optimize_exact(obj, system, cache=cache)
+            res = optimize_exact(obj, system)
             exact[out] = (res.lo, res.hi)
             # b. the approximate interval contains the exact one
             iv = bounds[out]

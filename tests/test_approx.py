@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 import praline.constraints
 from praline import parse
@@ -11,7 +12,7 @@ from praline.approx import (
     conj_bound,
     disj_bound,
 )
-from praline.constraints import class_range, gen_constraints, marginal_row
+from praline.constraints import bit_row, check_feasible, gen_constraints
 from praline.corrtypes import CorrType, _marginal_range, build_env
 from praline.frontend import Atom
 from praline.grounder import break_cycles, solve_standard
@@ -145,6 +146,29 @@ class TestSoundness:
             assert iv.hi <= blunt[n].hi + 1e-12
 
 
+def lp_range(cs, row):
+    """[min, max] of row over the class polytope, by two HiGHS LPs."""
+    lo = linprog(row, A_eq=cs.a_eq, b_eq=cs.b_eq, bounds=(0, 1),
+                 method="highs")
+    hi = linprog(-row, A_eq=cs.a_eq, b_eq=cs.b_eq, bounds=(0, 1),
+                 method="highs")
+    assert lo.success and hi.success
+    return lo.fun, -hi.fun
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+    real = praline.constraints.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(praline.constraints, "linprog", counted)
+    return calls
+
+
 class TestMarginalRange:
     def test_agrees_with_class_range(self):
         sources = [ROADS, SIXPACK] + \
@@ -154,28 +178,45 @@ class TestMarginalRange:
             program = parse(src)
             env = env_for(program)
             for fact in program.input_facts:
-                cpos, row = marginal_row(env.ctx, fact)
-                want = class_range(env.system.classes[cpos], row)
+                cpos, bit = env.ctx.fact_bit[fact]
+                cs = env.system.classes[cpos]
+                want = lp_range(cs, bit_row(cs.dim, bit))
                 assert_allclose(_marginal_range(env, fact), want, atol=1e-9)
                 checked += 1
         assert checked > 60
 
-    def test_declared_marginal_needs_no_lp(self, monkeypatch):
-        env = env_for(parse("0.5::a. 0.6::b|a. h :- a, b. query(h)."))
-        calls = []
-        real = praline.constraints.linprog
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(praline.constraints, "linprog", counted)
+    def test_declared_marginal_needs_no_lp(self, lp_calls):
+        # feasibility and every leaf range come from declarations and vertices
+        pair = "0.5::a. 0.6::b|a. h :- a, b. query(h)."
+        for src in [ROADS, SIXPACK, pair]:
+            program = parse(src)
+            env = env_for(program)
+            assert check_feasible(env.system) is not None
+            for fact in program.input_facts:
+                _marginal_range(env, fact)
+        assert lp_calls == []
         assert _marginal_range(env, Atom("a")) == (0.5, 0.5)
-        assert calls == []
         # b is only constrained by the conditional: P(b) = 0.3 + P(b, not a)
         assert_allclose(_marginal_range(env, Atom("b")), [0.3, 0.8],
                         atol=1e-9)
-        assert len(calls) == 2
+        assert lp_calls == []
+
+    def test_class_past_vertex_cap_ranges_by_lp(self, lp_calls):
+        # seven facts make a 128-column class, past VERTEX_DIM_CAP: b's range
+        # takes two LPs, once, and the declared marginals none
+        names = ["a", "b"] + [f"f{i}" for i in range(5)]
+        src = "".join(f"0.5::{n}.\n" for n in names if n != "b") + \
+            f"0.6::b|a.\ncorr({','.join(names)}).\nh :- a, b.\nquery(h).\n"
+        env = env_for(parse(src))
+        assert env.system.classes[0].dim == 128
+        assert check_feasible(env.system) is not None
+        lp_calls.clear()
+        assert_allclose(_marginal_range(env, Atom("b")), [0.3, 0.8],
+                        atol=1e-9)
+        assert len(lp_calls) == 2
+        assert _marginal_range(env, Atom("a")) == (0.5, 0.5)
+        _marginal_range(env, Atom("b"))
+        assert len(lp_calls) == 2
 
     def test_too_big_class_keeps_unit_interval(self):
         names = [f"f{i}" for i in range(17)]

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -13,6 +14,46 @@ from conftest import CONFLICT, ROADS, ROADS_APPROX, ROADS_EXACT
 WIDE = "".join(f"0.5 :: a{i}.\n" for i in range(1, 14)) + \
     "".join(f"corr(a{i}, a{i + 1}).\n" for i in range(1, 13)) + \
     "h :- a1, a2.\nquery(h).\n"
+
+# a 16-node chain with back edges, in six 3-fact classes: it unfolds cycles
+CHAIN = """\
+0.522430::edge(0,1).
+0.487043::edge(1,2).
+0.459282::edge(2,3).
+corr(edge(0,1),edge(1,2),edge(2,3)).
+0.501532::edge(1,2)|edge(0,1).
+0.488732::edge(3,4).
+0.485248::edge(4,2).
+0.497908::edge(4,5).
+corr(edge(3,4),edge(4,2),edge(4,5)).
+0.482649::edge(4,2)|edge(3,4).
+0.534698::edge(5,6).
+0.510378::edge(6,7).
+0.510809::edge(7,8).
+corr(edge(5,6),edge(6,7),edge(7,8)).
+0.508104::edge(6,7)|edge(5,6).
+0.487249::edge(8,6).
+0.491435::edge(8,9).
+0.498007::edge(9,10).
+corr(edge(8,6),edge(8,9),edge(9,10)).
+0.517413::edge(8,9)|edge(8,6).
+0.513742::edge(10,11).
+0.471314::edge(11,12).
+0.498087::edge(12,10).
+corr(edge(10,11),edge(11,12),edge(12,10)).
+0.459869::edge(11,12)|edge(10,11).
+0.515307::edge(12,13).
+0.502552::edge(13,14).
+0.497556::edge(14,15).
+corr(edge(12,13),edge(13,14),edge(14,15)).
+0.518717::edge(13,14)|edge(12,13).
+0.9::path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y), edge(Y,Z).
+query(path(0,4)).
+query(path(0,8)).
+query(path(0,12)).
+query(path(0,15)).
+"""
 
 
 @pytest.fixture
@@ -251,3 +292,23 @@ class TestExactFallback:
         f = solve_source(WIDE, mode="exact").facts[0]
         assert f.mode == "soundness_only"
         assert f.flags == ["soundness_only"]
+
+
+class TestHashSeed:
+    def test_graph_and_report_independent_of_hash_seed(self, tmp_path):
+        prog = tmp_path / "chain.pl"
+        prog.write_text(CHAIN)
+        runs = []
+        for seed in ("0", "1"):
+            report = tmp_path / f"report{seed}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "praline.cli", "solve", str(prog),
+                 "--mode", "approx", "--dump-graph", "--json", str(report)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            doc = json.loads(report.read_text())
+            del doc["meta"]["elapsed_ms"]
+            runs.append((proc.stdout, doc))
+        assert "derivation graph:" in runs[0][0]
+        assert runs[0] == runs[1]

@@ -3,13 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from praline import parse
-from praline.constraints import (
-    check_feasible,
-    class_range,
-    feasible_point,
-    gen_constraints,
-    marginal_row,
-)
+from praline.constraints import bit_row, check_feasible, gen_constraints
 from praline.grounder import solve_standard
 from praline.symexpr import context_from_program
 
@@ -50,12 +44,11 @@ class TestRoadsSystem:
         assert [str(m) for m in cs.members] == \
             ["edge(2,5)", "edge(1,4)", "edge(2,6)"]
         assert cs.a_eq.shape[1] == 8
-        w = feasible_point(cs)
+        w = cs.feasible_point()
         assert w is not None
         # declared marginals hold in any feasible point
-        for member in cs.members:
-            _, row = marginal_row(ctx, member)
-            assert_allclose(row @ w, 0.6, atol=1e-9)
+        for bit in range(len(cs.members)):
+            assert_allclose(bit_row(8, bit) @ w, 0.6, atol=1e-9)
         # edge(2,5) | edge(1,4): joint mass = 0.8 * 0.6
         joint = np.zeros(8)
         joint[0b011] = joint[0b111] = 1.0
@@ -84,7 +77,7 @@ class TestRoadsSystem:
         cs = system.classes[3]
         row = np.zeros(8)
         row[0b101] = row[0b111] = 1.0
-        lo, hi = class_range(cs, row)
+        lo, hi = cs.range(row)
         assert_allclose([lo, hi], [0.378, 0.582], atol=1e-9)
 
 
@@ -112,8 +105,8 @@ class TestFeasibility:
         program, graph, ctx = build(src)
         system = gen_constraints(program, ctx)
         cs = system.classes[0]
-        _, row = marginal_row(ctx, atom_by_str(ctx, "b"))
-        lo, hi = class_range(cs, row)
+        _, bit = ctx.fact_bit[atom_by_str(ctx, "b")]
+        lo, hi = cs.range(bit_row(4, bit))
         assert_allclose([lo, hi], [0.3, 0.8], atol=1e-9)
 
     def test_negated_given(self):
@@ -128,7 +121,7 @@ class TestFeasibility:
         # P(b and not a) = 0.7 * 0.5, pinned to a point by the two rows
         row = np.zeros(4)
         row[0b10] = 1.0
-        lo, hi = class_range(cs, row)
+        lo, hi = cs.range(row)
         assert_allclose([lo, hi], [0.35, 0.35], atol=1e-9)
 
     def test_point_probabilities(self):
@@ -141,7 +134,7 @@ class TestFeasibility:
         w = check_feasible(system)
         assert w is not None
         for cs, x in zip(system.classes, w):
-            _, row = marginal_row(ctx, cs.members[0])
+            row = bit_row(2, 0)
             want = 1.0 if str(cs.members[0]) == "a" else 0.0
             assert_allclose(row @ x, want, atol=1e-9)
 
@@ -156,7 +149,7 @@ class TestOversizedClass:
         assert len(system.classes) == 1
         cs = system.classes[0]
         assert cs.too_big
-        w = feasible_point(cs)
+        w = cs.feasible_point()
         assert w is not None
         assert_allclose(w.sum(), 1.0)
 

@@ -12,7 +12,7 @@ from praline.optimizer import enumerate_class_vertices, optimize_exact
 from praline.symexpr import context_from_program, eval_expr, gen_objective
 
 from conftest import ROADS_EXACT, SIXPACK_E
-from oracles import rational_vertices
+from oracles import assert_same_rows, rational_vertices
 
 
 def pipeline(program):
@@ -48,8 +48,7 @@ class TestVertexEnumeration:
         verts = enumerate_class_vertices(system.classes[3])
         want = np.array([[float(v) for v in vert]
                          for vert in rational_vertices(*roads_v4_rational())])
-        assert verts.shape == want.shape
-        assert_allclose(verts, want, atol=1e-7)
+        assert_same_rows(verts, want, atol=1e-7)
 
     def test_v4_extreme_joint_mass(self, roads):
         # P(edge(2,5) and edge(2,6)) spans exactly [0.378, 0.582]
@@ -70,8 +69,7 @@ class TestVertexEnumeration:
         rhs = [1, F(1, 2), F(3, 10)]
         want = np.array([[float(v) for v in vert]
                          for vert in rational_vertices(rows, rhs)])
-        assert verts.shape == want.shape
-        assert_allclose(verts, want, atol=1e-7)
+        assert_same_rows(verts, want, atol=1e-7)
 
     @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
     def test_lanes_agree(self, roads):
@@ -112,11 +110,10 @@ class TestExactOptimization:
 
     def test_roads_point_queries(self, roads):
         graph, ctx, system = pipeline(roads)
-        cache = {}
         for name in ["path(1,5)", "path(1,6)"]:
             target = [n for n in graph.nodes if str(n) == name][0]
             obj = gen_objective(graph, ctx, target)
-            res = optimize_exact(obj, system, cache=cache)
+            res = optimize_exact(obj, system)
             assert_allclose([res.lo, res.hi], [0.36, 0.36], atol=1e-9)
 
     def test_witnesses_attain_bounds(self, roads):
