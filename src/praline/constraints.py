@@ -30,6 +30,7 @@ from praline import optimizer
 from praline.frontend import (Atom, DimensionCapExceeded, InputProbDecl,
                               Program, format_bits)
 from praline.symexpr import (
+    ClassSpec,
     ExprContext,
     ProbExpr,
     coeff_eval,
@@ -55,6 +56,9 @@ class ClassSystem:
         field(default_factory=list)
     # member bit -> p of its declared marginal p::member.
     marginals: dict[int, float] = field(default_factory=dict)
+    # of a class too big for rows: the system over just the members its
+    # declarations name, when that fits; it decides the class's feasibility
+    projection: Optional["ClassSystem"] = None
     _verts: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _enumerated: bool = field(default=False, init=False, repr=False)
     _ranges: dict[int, tuple[float, float]] = \
@@ -89,8 +93,18 @@ class ClassSystem:
         return res if res.success else None
 
     def feasible_point(self) -> Optional[np.ndarray]:
-        """A point of the polytope, or None when it is empty."""
+        """A point of the polytope, or None when it is empty.
+
+        A class too big for rows is empty exactly when its projection is: a
+        point of the projection extends to the whole class by an independent
+        product.  When it is not empty, its witness is the uniform
+        distribution, which is not a point of the polytope once a
+        declaration fixes a probability other than the uniform one's.
+        """
         if self.too_big:
+            if self.projection is not None and \
+                    self.projection.feasible_point() is None:
+                return None
             return np.full(self.dim, 1.0 / self.dim)
         verts = self.vertices()
         if verts is not None:
@@ -177,10 +191,34 @@ def _row_str(label: str, vec: np.ndarray, width: int) -> str:
 
 
 def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
-    rows: list[list[np.ndarray]] = [[] for _ in ctx.classes]
-    vals: list[list[float]] = [[] for _ in ctx.classes]
-    decls: list[list[tuple]] = [[] for _ in ctx.classes]
-    marginals: list[dict[int, float]] = [{} for _ in ctx.classes]
+    by_class: list[list[InputProbDecl]] = [[] for _ in ctx.classes]
+    for decl in program.input_probs:
+        by_class[ctx.fact_bit[decl.head][0]].append(decl)
+    classes = []
+    for cpos, spec in enumerate(ctx.classes):
+        if spec.size <= MAX_CONSTRAINT_BITS:
+            classes.append(_class_system(ctx, cpos, by_class[cpos]))
+            continue
+        cs = ClassSystem(spec.label, spec.members, None, None)
+        named = {a for decl in by_class[cpos] for a in decl.atoms()}
+        members = tuple(m for m in spec.members if m in named)
+        if members and len(members) <= MAX_CONSTRAINT_BITS:
+            sub = ExprContext([ClassSpec(spec.label, members)],
+                              {m: (0, i) for i, m in enumerate(members)}, {}, {})
+            cs.projection = _class_system(sub, 0, by_class[cpos])
+        classes.append(cs)
+    return ConstraintSystem(classes, dict(ctx.var_prob))
+
+
+def _class_system(ctx: ExprContext, cpos: int,
+                  decls: list[InputProbDecl]) -> ClassSystem:
+    """The rows of one class's declarations, plus the sum-to-one row."""
+    spec = ctx.classes[cpos]
+    dim = 1 << spec.size
+    rows: list[np.ndarray] = [np.ones(dim)]
+    vals: list[float] = [1.0]
+    shown: list[tuple] = []
+    marginals: dict[int, float] = {}
 
     def conj_expr(decl: InputProbDecl, skip_head: bool) -> ProbExpr:
         acc = None
@@ -195,37 +233,22 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
             acc = e if acc is None else mul(acc, e)
         return acc
 
-    for decl in program.input_probs:
-        cpos, bit = ctx.fact_bit[decl.head]
-        spec = ctx.classes[cpos]
-        if spec.size > MAX_CONSTRAINT_BITS:
-            continue
-        dim = 1 << spec.size
+    for decl in decls:
         if decl.is_marginal:
+            bit = ctx.fact_bit[decl.head][1]
             row = bit_row(dim, bit)
-            rows[cpos].append(row)
-            vals[cpos].append(decl.prob)
-            decls[cpos].append((row, None, decl.prob))
-            marginals[cpos][bit] = decl.prob
+            rows.append(row)
+            vals.append(decl.prob)
+            shown.append((row, None, decl.prob))
+            marginals[bit] = decl.prob
         else:
             lhs = _row_of(conj_expr(decl, skip_head=False), cpos, dim)
             rhs = _row_of(conj_expr(decl, skip_head=True), cpos, dim)
-            rows[cpos].append(lhs - decl.prob * rhs)
-            vals[cpos].append(0.0)
-            decls[cpos].append((lhs, rhs, decl.prob))
-
-    classes = []
-    for cpos, spec in enumerate(ctx.classes):
-        if spec.size > MAX_CONSTRAINT_BITS:
-            classes.append(ClassSystem(spec.label, spec.members, None, None))
-            continue
-        dim = 1 << spec.size
-        a = np.vstack([np.ones((1, dim))] + rows[cpos]) if rows[cpos] \
-            else np.ones((1, dim))
-        b = np.array([1.0] + vals[cpos])
-        classes.append(ClassSystem(spec.label, spec.members, a, b,
-                                   decls[cpos], marginals[cpos]))
-    return ConstraintSystem(classes, dict(ctx.var_prob))
+            rows.append(lhs - decl.prob * rhs)
+            vals.append(0.0)
+            shown.append((lhs, rhs, decl.prob))
+    return ClassSystem(spec.label, spec.members, np.vstack(rows),
+                       np.array(vals), shown, marginals)
 
 
 def check_feasible(system: ConstraintSystem) -> Optional[list[np.ndarray]]:

@@ -12,9 +12,13 @@ The algebra keeps everything canonical and exact:
     prod r_v for v in P times prod (1 - r_v) for v in N;
   - the joint of two monomials is their union, or 0 when some variable is
     required both fired and unfired (the derivations are incompatible);
-  - mul multiplies per psi (the events of independent subderivations),
-    add is inclusion-exclusion  a + b - joint(a, b),  and neg is 1 - lambda
-    rewritten into complement form.
+  - mul joins the two operands' terms on the classes they share: each
+    pair of terms that agree there multiplies its lambdas (the events of
+    independent subderivations) under the psi that merges both
+    coordinates, so a class one operand lacks is never enumerated;
+  - add is inclusion-exclusion  a + b - joint(a, b)  per psi, over the
+    union template, and neg is 1 - lambda rewritten into complement form,
+    dense over its support.
 
 Theorem-level: for expressions of two facts A and B, mul yields the
 expression of P(A and B) and add the one of P(A or B), checked numerically
@@ -32,7 +36,11 @@ import numpy as np
 from praline.frontend import Atom, DimensionCapExceeded, Program
 from praline.grounder import DerivationGraph, GroundRuleId
 
-MAX_TEMPLATE = 2 ** 20  # largest dense psi template any operation may expand
+# largest psi template over the union of two supports.  add and neg fill it
+# densely; mul fills nothing but applies the same cap when the supports
+# differ, which bounds the terms of a product and keeps one rule for which
+# expressions are out of reach
+MAX_TEMPLATE = 2 ** 20
 
 Mono = tuple[frozenset, frozenset]
 Coeff = dict[Mono, int]
@@ -154,10 +162,6 @@ class ExprContext:
     event_var: dict[GroundRuleId, int]
     var_prob: dict[int, float]
 
-    @property
-    def single(self) -> bool:
-        return len(self.classes) == 1
-
     def template_size(self, support: tuple[int, ...]) -> int:
         n = 1
         for c in support:
@@ -185,9 +189,6 @@ class ProbExpr:
     support: tuple[int, ...]  # class positions, ascending
     terms: dict[tuple[int, ...], Coeff] = field(default_factory=dict)
 
-    def copy(self) -> "ProbExpr":
-        return ProbExpr(self.ctx, self.support, {k: dict(v) for k, v in self.terms.items()})
-
 
 def expr_const(ctx: ExprContext, value: int) -> ProbExpr:
     terms = {(): coeff_one()} if value == 1 else {}
@@ -203,6 +204,8 @@ def expr_of_input(ctx: ExprContext, fact: Atom) -> ProbExpr:
 
 
 def _lift(e: ProbExpr, support: tuple[int, ...]) -> ProbExpr:
+    """e over a wider support: each term repeated for every assignment of
+    the classes e lacks.  Only add needs it."""
     if e.support == support:
         return e
     ctx = e.ctx
@@ -227,18 +230,39 @@ def _union_support(a: ProbExpr, b: ProbExpr) -> tuple[int, ...]:
 
 
 def mul(a: ProbExpr, b: ProbExpr) -> ProbExpr:
-    """Expression of the conjunction of two facts' derivations."""
+    """Expression of the conjunction of two facts' derivations.
+
+    A sparse join on the classes both operands depend on: each term of a
+    pairs only with the terms of b that agree with it there, and the
+    product's psi takes every other coordinate from the operand that has
+    it, so no class is ever filled in.  Terms come in a's insertion order,
+    then in ascending order of b's coordinates on the classes only b has,
+    the order a dense pairing over the union template would give.
+    """
     support = _union_support(a, b)
-    a = _lift(a, support)
-    b = _lift(b, support)
+    if a.support != b.support and a.ctx.template_size(support) > MAX_TEMPLATE:
+        raise DimensionCapExceeded(
+            f"expression template over classes {support} exceeds {MAX_TEMPLATE} terms")
+    a_pos = {c: i for i, c in enumerate(a.support)}
+    shared = [i for i, c in enumerate(b.support) if c in a_pos]
+    a_shared = [a_pos[b.support[i]] for i in shared]
+    b_only = [i for i, c in enumerate(b.support) if c not in a_pos]
+    # (operand, position) each coordinate of the product's psi is read from
+    take = [(0, a_pos[c]) if c in a_pos else (1, b.support.index(c))
+            for c in support]
     terms: dict[tuple[int, ...], Coeff] = {}
-    for psi, lam in a.terms.items():  # keep a's insertion order
-        lam2 = b.terms.get(psi)
-        if lam2 is None:
-            continue
-        j = coeff_joint(lam, lam2)
-        if j:
-            terms[psi] = j
+    index: dict[tuple[int, ...], list] = {}
+    for psi, lam in b.terms.items():
+        key = tuple(psi[i] for i in shared)
+        index.setdefault(key, []).append((tuple(psi[i] for i in b_only), psi, lam))
+    for bucket in index.values():
+        bucket.sort(key=lambda t: t[0])
+    for psi, lam in a.terms.items():
+        for _, bpsi, lam2 in index.get(tuple(psi[i] for i in a_shared), ()):
+            j = coeff_joint(lam, lam2)
+            if j:
+                pair = (psi, bpsi)
+                terms[tuple(pair[o][i] for o, i in take)] = j
     return ProbExpr(a.ctx, support, terms)
 
 

@@ -47,6 +47,46 @@ SIXPACK = """\
 query(e).
 """
 
+# a 16-node chain with back edges, in six 3-fact classes: it unfolds cycles
+CHAIN = """\
+0.522430::edge(0,1).
+0.487043::edge(1,2).
+0.459282::edge(2,3).
+corr(edge(0,1),edge(1,2),edge(2,3)).
+0.501532::edge(1,2)|edge(0,1).
+0.488732::edge(3,4).
+0.485248::edge(4,2).
+0.497908::edge(4,5).
+corr(edge(3,4),edge(4,2),edge(4,5)).
+0.482649::edge(4,2)|edge(3,4).
+0.534698::edge(5,6).
+0.510378::edge(6,7).
+0.510809::edge(7,8).
+corr(edge(5,6),edge(6,7),edge(7,8)).
+0.508104::edge(6,7)|edge(5,6).
+0.487249::edge(8,6).
+0.491435::edge(8,9).
+0.498007::edge(9,10).
+corr(edge(8,6),edge(8,9),edge(9,10)).
+0.517413::edge(8,9)|edge(8,6).
+0.513742::edge(10,11).
+0.471314::edge(11,12).
+0.498087::edge(12,10).
+corr(edge(10,11),edge(11,12),edge(12,10)).
+0.459869::edge(11,12)|edge(10,11).
+0.515307::edge(12,13).
+0.502552::edge(13,14).
+0.497556::edge(14,15).
+corr(edge(12,13),edge(13,14),edge(14,15)).
+0.518717::edge(13,14)|edge(12,13).
+0.9::path(X,Y) :- edge(X,Y).
+path(X,Z) :- path(X,Y), edge(Y,Z).
+query(path(0,4)).
+query(path(0,8)).
+query(path(0,12)).
+query(path(0,15)).
+"""
+
 # Conflicting conditional declarations; no joint distribution satisfies them.
 CONFLICT = """\
 0.5::i1.

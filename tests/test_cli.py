@@ -8,52 +8,15 @@ import pytest
 
 from praline.cli import run, solve_source
 
-from conftest import CONFLICT, ROADS, ROADS_APPROX, ROADS_EXACT
+from conftest import CHAIN, CONFLICT, ROADS, ROADS_APPROX, ROADS_EXACT
 
 # one 13-fact class: too large for vertex enumeration, small enough for rows
 WIDE = "".join(f"0.5 :: a{i}.\n" for i in range(1, 14)) + \
     "".join(f"corr(a{i}, a{i + 1}).\n" for i in range(1, 13)) + \
     "h :- a1, a2.\nquery(h).\n"
 
-# a 16-node chain with back edges, in six 3-fact classes: it unfolds cycles
-CHAIN = """\
-0.522430::edge(0,1).
-0.487043::edge(1,2).
-0.459282::edge(2,3).
-corr(edge(0,1),edge(1,2),edge(2,3)).
-0.501532::edge(1,2)|edge(0,1).
-0.488732::edge(3,4).
-0.485248::edge(4,2).
-0.497908::edge(4,5).
-corr(edge(3,4),edge(4,2),edge(4,5)).
-0.482649::edge(4,2)|edge(3,4).
-0.534698::edge(5,6).
-0.510378::edge(6,7).
-0.510809::edge(7,8).
-corr(edge(5,6),edge(6,7),edge(7,8)).
-0.508104::edge(6,7)|edge(5,6).
-0.487249::edge(8,6).
-0.491435::edge(8,9).
-0.498007::edge(9,10).
-corr(edge(8,6),edge(8,9),edge(9,10)).
-0.517413::edge(8,9)|edge(8,6).
-0.513742::edge(10,11).
-0.471314::edge(11,12).
-0.498087::edge(12,10).
-corr(edge(10,11),edge(11,12),edge(12,10)).
-0.459869::edge(11,12)|edge(10,11).
-0.515307::edge(12,13).
-0.502552::edge(13,14).
-0.497556::edge(14,15).
-corr(edge(12,13),edge(13,14),edge(14,15)).
-0.518717::edge(13,14)|edge(12,13).
-0.9::path(X,Y) :- edge(X,Y).
-path(X,Z) :- path(X,Y), edge(Y,Z).
-query(path(0,4)).
-query(path(0,8)).
-query(path(0,12)).
-query(path(0,15)).
-"""
+# one 17-fact class: past MAX_CONSTRAINT_BITS, so it gets no rows
+BIG = "corr(" + ",".join(f"f{i}" for i in range(17)) + ").\n0.5::f0.\n"
 
 
 @pytest.fixture
@@ -140,6 +103,23 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["solve", "x.pl", "--mode", "bogus"])
         assert exc.value.code == 2
+
+
+class TestOversizedClass:
+    @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
+    def test_conflict_prints_no_solution(self, tmp_path, capsys, mode):
+        f = tmp_path / "big.pl"
+        f.write_text(BIG + "0.9::f1|f0.\n0.1::f1|f0.\nq :- f1.\nquery(q).\n")
+        code = run(["solve", str(f), "--mode", mode])
+        assert code == 1
+        assert "No solution" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
+    @pytest.mark.parametrize("rest", ["q :- f0.\n", "0.9::f1|f0.\nq :- f1.\n"],
+                             ids=["marginal", "conditional"])
+    def test_feasible_class_keeps_unit_interval(self, mode, rest):
+        f = solve_source(BIG + rest + "query(q).\n", mode=mode).facts[0]
+        assert (f.lower, f.upper) == (0.0, 1.0)
 
 
 class TestJsonReport:

@@ -153,6 +153,15 @@ class TestOversizedClass:
         assert w is not None
         assert_allclose(w.sum(), 1.0)
 
+    def test_conflict_is_found_on_the_named_members(self):
+        names = [f"f{i}" for i in range(17)]
+        program, graph, ctx = build(
+            f"corr({','.join(names)}).\n0.5::f0.\n0.9::f1|f0.\n0.1::f1|f0.\n")
+        cs = gen_constraints(program, ctx).classes[0]
+        assert cs.too_big
+        assert [str(m) for m in cs.projection.members] == ["f0", "f1"]
+        assert cs.feasible_point() is None
+
 
 def test_describe_mentions_rows(roads):
     graph = solve_standard(roads)

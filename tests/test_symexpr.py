@@ -1,9 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from praline import Atom, parse
-from praline.grounder import solve_standard
+from praline import Atom, parse, symexpr
+from praline.cli import solve_source
+from praline.frontend import DimensionCapExceeded
+from praline.grounder import break_cycles, solve_standard
 from praline.symexpr import (
+    ProbExpr,
     add,
     coeff_eval,
     coeff_joint,
@@ -18,7 +23,7 @@ from praline.symexpr import (
     neg,
 )
 
-from conftest import ROADS_EXACT
+from conftest import CHAIN, ROADS, ROADS_EXACT, SIXPACK, random_program_source
 
 
 def build(src):
@@ -185,3 +190,113 @@ def test_marginalized_support(roads):
     ctx = context_from_program(roads, g)
     e15 = gen_objective(g, ctx, Atom("path", (1, 5)))
     assert e15.support == (1, 3)
+
+
+def _dense_lift(e, support):
+    if e.support == support:
+        return e
+    ctx = e.ctx
+    if ctx.template_size(support) > symexpr.MAX_TEMPLATE:
+        raise DimensionCapExceeded(f"template over {support}")
+    pos_of = {c: i for i, c in enumerate(e.support)}
+    ranges = [range(1 << ctx.classes[c].size)
+              for c in support if c not in pos_of]
+    terms = {}
+    for psi, lam in e.terms.items():
+        for fills in itertools.product(*ranges):
+            fill_iter = iter(fills)
+            new_psi = tuple(psi[pos_of[c]] if c in pos_of else next(fill_iter)
+                            for c in support)
+            terms[new_psi] = lam
+    return ProbExpr(ctx, support, terms)
+
+
+def dense_mul(a, b):
+    """mul as it was before the sparse join: lift both, pair per psi."""
+    support = tuple(sorted(set(a.support) | set(b.support)))
+    a = _dense_lift(a, support)
+    b = _dense_lift(b, support)
+    terms = {}
+    for psi, lam in a.terms.items():
+        lam2 = b.terms.get(psi)
+        if lam2 is None:
+            continue
+        j = coeff_joint(lam, lam2)
+        if j:
+            terms[psi] = j
+    return ProbExpr(a.ctx, support, terms)
+
+
+def cyclic_build(src):
+    prog = parse(src)
+    g = solve_standard(prog)
+    work = g if g.acyclic else break_cycles(g)
+    return prog, work, context_from_program(prog, work)
+
+
+def ordered(e):
+    return e.support, [(psi, list(lam.items())) for psi, lam in e.terms.items()]
+
+
+class TestSparseMul:
+    def test_matches_dense_reference(self, monkeypatch):
+        calls = []
+
+        def checked(a, b):
+            got = mul(a, b)
+            assert ordered(got) == ordered(dense_mul(a, b))
+            calls.append(a.support != b.support)
+            return got
+
+        monkeypatch.setattr(symexpr, "mul", checked)
+        sources = [ROADS, SIXPACK] + \
+            [random_program_source(seed) for seed in range(30)]
+        for src in sources:
+            prog, g, ctx = cyclic_build(src)
+            memo = {}
+            for n in g.nodes:
+                gen_objective(g, ctx, n, memo)
+        # the chain's queries only: the reference lifts its longest paths
+        # over up to six classes, seconds for every node
+        prog, g, ctx = cyclic_build(CHAIN)
+        memo = {}
+        for q in prog.queries:
+            gen_objective(g, ctx, q, memo)
+        # operands over equal and over differing supports were both compared
+        assert any(calls) and not all(calls)
+
+    def test_cap_still_raises_across_classes(self, monkeypatch):
+        prog, g, ctx = build("""
+            0.5::a1. 0.5::a2. 0.5::a3. corr(a1,a2,a3).
+            0.5::b1. 0.5::b2. 0.5::b3. corr(b1,b2,b3).
+        """)
+        monkeypatch.setattr(symexpr, "MAX_TEMPLATE", 63)
+        a = expr_of_input(ctx, Atom("a1"))
+        b = expr_of_input(ctx, Atom("b1"))
+        with pytest.raises(DimensionCapExceeded):
+            mul(a, b)
+        # one class's template (8 terms) is under the cap
+        assert mul(a, expr_of_input(ctx, Atom("a2"))).support == a.support
+
+    def test_chain_objectives_lift_nothing(self, monkeypatch):
+        lifts = []
+        lift = symexpr._lift
+
+        def counted(e, support):
+            if e.support != support:
+                lifts.append(support)
+            return lift(e, support)
+
+        monkeypatch.setattr(symexpr, "_lift", counted)
+        prog, g, ctx = cyclic_build(CHAIN)
+        for q in prog.queries:
+            gen_objective(g, ctx, q)
+        assert lifts == []
+
+    def test_chain_exact_range_unchanged(self):
+        # the value the dense lift-based mul gave
+        facts = {f.atom: f for f in solve_source(CHAIN, mode="exact").facts}
+        f = facts["path(0,12)"]
+        assert f.mode == "exact"
+        assert (f.lower, f.upper) == \
+            pytest.approx((0.0, 0.0036353523045133253), abs=1e-12)
