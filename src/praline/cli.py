@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class FactBounds:
     upper: float
     mode: str
     flags: list
+    # why a soundness_only fact lost its delta guarantee
+    reason: Optional[str] = None
 
 
 @dataclass
@@ -58,12 +61,15 @@ class BoundsReport:
     elapsed_ms: int
 
     def to_json(self) -> str:
+        facts = []
+        for f in self.facts:
+            fact = {"atom": f.atom, "lower": f.lower, "upper": f.upper,
+                    "mode": f.mode, "flags": list(f.flags)}
+            if f.reason is not None:
+                fact["reason"] = f.reason
+            facts.append(fact)
         doc = {
-            "facts": [
-                {"atom": f.atom, "lower": f.lower, "upper": f.upper,
-                 "mode": f.mode, "flags": list(f.flags)}
-                for f in self.facts
-            ],
+            "facts": facts,
             "meta": {"delta": self.delta, "elapsed_ms": self.elapsed_ms},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -114,7 +120,7 @@ def solve_program(program, mode="delta", delta=0.01,
     """Bounds for every queried fact; raises InfeasibleError on conflict."""
     t0 = time.perf_counter()
     work, ctx, system, env = _pipeline(program)
-    if check_feasible(system) is None:
+    if not check_feasible(system):
         raise InfeasibleError("No solution")
     outputs, absent = _select_outputs(program, work, queries)
     facts = []
@@ -131,7 +137,8 @@ def solve_program(program, mode="delta", delta=0.01,
                     approx_cache = approx_bounds(env)
                 iv = approx_cache[out]
                 facts.append(FactBounds(str(out), iv.lo, iv.hi,
-                                        "soundness_only", ["soundness_only"]))
+                                        "soundness_only", ["soundness_only"],
+                                        str(exc)))
     elif mode == "approx":
         m = approx_bounds(env)
         for out in outputs:
@@ -145,7 +152,7 @@ def solve_program(program, mode="delta", delta=0.01,
             fact_mode = "soundness_only" if "soundness_only" in r.flags \
                 else "delta"
             facts.append(FactBounds(str(out), r.interval.lo, r.interval.hi,
-                                    fact_mode, list(r.flags)))
+                                    fact_mode, list(r.flags), r.reason))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     for q in absent:
@@ -167,7 +174,7 @@ def _dump(args, program):
     grounds the program twice.  An infeasible program dumps nothing.
     """
     work, ctx, system, env = _pipeline(program)
-    if check_feasible(system) is None:
+    if not check_feasible(system):
         raise InfeasibleError("No solution")
     if args.dump_graph:
         print("derivation graph:")
@@ -222,7 +229,7 @@ def _cmd_solve(args, program) -> int:
 
 def _cmd_oracle(args, program) -> int:
     work, ctx, system, env = _pipeline(program)
-    if check_feasible(system) is None:
+    if not check_feasible(system):
         raise InfeasibleError("No solution")
     outputs, absent = _select_outputs(program, work, args.query)
     rng = np.random.default_rng(args.seed)

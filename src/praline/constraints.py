@@ -15,7 +15,15 @@ each member's marginal range.  All of them are read off the vertex set,
 enumerated once: a bounded polytope is empty exactly when it has no vertex,
 and a linear functional reaches its min and max at vertices.  HiGHS runs only
 for a class past the vertex enumeration caps, and to confirm that a class
-with no enumerated vertex is empty.
+with no enumerated vertex is empty.  It is reached through
+`optimizer.linprog`, which imports scipy.optimize on its first call, so a
+program that needs no LP never loads scipy.
+
+A class with more than `MAX_CONSTRAINT_BITS` members gets no rows, and a
+solve builds no array over its 2^n joint assignments: every member's
+marginal range is the unit interval, and its feasibility is that of its
+projection onto the members its declarations name.  Only its feasible
+point, which the oracle asks for, is such an array.
 """
 
 from __future__ import annotations
@@ -24,11 +32,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from praline import optimizer
 from praline.frontend import (Atom, DimensionCapExceeded, InputProbDecl,
                               Program, format_bits)
+from praline.optimizer import linprog
 from praline.symexpr import (
     ClassSpec,
     ExprContext,
@@ -92,20 +100,40 @@ class ClassSystem:
                       method="highs")
         return res if res.success else None
 
-    def feasible_point(self) -> Optional[np.ndarray]:
-        """A point of the polytope, or None when it is empty.
+    def feasible(self) -> bool:
+        """Whether the polytope has a point.
 
         A class too big for rows is empty exactly when its projection is: a
         point of the projection extends to the whole class by an independent
-        product.  When it is not empty, its witness is the uniform
-        distribution, which is not a point of the polytope once a
-        declaration fixes a probability other than the uniform one's.
+        product.  With no projection (no member named, or too many to give
+        rows) it counts as feasible.
         """
         if self.too_big:
-            if self.projection is not None and \
-                    self.projection.feasible_point() is None:
+            return self.projection is None or self.projection.feasible()
+        return self.feasible_point() is not None
+
+    def feasible_point(self) -> Optional[np.ndarray]:
+        """A point of the polytope, or None when it is empty.
+
+        A class too big for rows gets the independent product of its
+        projection's point and the uniform distribution over the members no
+        declaration names; it costs an array over all 2^n assignments, so
+        only the oracle asks for it.  With no projection (too many members
+        named) the witness is the uniform distribution, which does not honour
+        declarations that fix a probability other than the uniform one's.
+        """
+        if self.too_big:
+            if self.projection is None:
+                return np.full(self.dim, 1.0 / self.dim)
+            sub = self.projection.feasible_point()
+            if sub is None:
                 return None
-            return np.full(self.dim, 1.0 / self.dim)
+            idx = np.arange(self.dim)
+            sub_idx = np.zeros(self.dim, dtype=np.int64)
+            for i, m in enumerate(self.projection.members):
+                sub_idx |= ((idx >> self.members.index(m)) & 1) << i
+            free = len(self.members) - len(self.projection.members)
+            return sub[sub_idx] / (1 << free)
         verts = self.vertices()
         if verts is not None:
             return verts[0]
@@ -133,8 +161,11 @@ class ClassSystem:
         """Exact range of P(member at bit) over the non-empty polytope.
 
         A declared marginal p::member. is one of the polytope's equalities,
-        so its range is [p, p] with no vertex or LP.
+        so its range is [p, p] with no vertex or LP.  A class too big for
+        rows gets the unit interval, before any row over its assignments.
         """
+        if self.too_big:
+            return 0.0, 1.0
         if bit not in self._ranges:
             p = self.marginals.get(bit)
             self._ranges[bit] = (p, p) if p is not None \
@@ -251,18 +282,12 @@ def _class_system(ctx: ExprContext, cpos: int,
                        np.array(vals), shown, marginals)
 
 
-def check_feasible(system: ConstraintSystem) -> Optional[list[np.ndarray]]:
-    """A witness distribution per class, or None if any class is infeasible.
+def check_feasible(system: ConstraintSystem) -> bool:
+    """Whether every class polytope has a point.
 
     Classes are independent blocks, so feasibility decomposes.
     """
-    witness = []
-    for cs in system.classes:
-        x = cs.feasible_point()
-        if x is None:
-            return None
-        witness.append(x)
-    return witness
+    return all(cs.feasible() for cs in system.classes)
 
 
 def bit_row(dim: int, bit: int) -> np.ndarray:

@@ -18,7 +18,6 @@ from math import comb
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401  perfbench/spans.py patches it
 
 from praline.frontend import DimensionCapExceeded
 from praline.kernels import solve_supports
@@ -31,6 +30,18 @@ VERTEX_DIM_CAP = 64
 SUPPORT_COMBO_CAP = 200_000
 GLOBAL_COMBO_CAP = 1_000_000
 RESIDUAL_TOL = 1e-8
+
+
+def linprog(*args, **kwargs):
+    """scipy's `linprog`, imported on the first call.
+
+    Importing scipy.optimize takes most of praline's start-up time, and only
+    a class past the vertex enumeration caps needs an LP, so a solve that
+    needs none never imports it.  `constraints.ClassSystem` calls it through
+    its own module global, so a wrapper set there sees every LP.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(*args, **kwargs)
 
 
 @dataclass

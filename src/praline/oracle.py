@@ -230,7 +230,7 @@ def exact_interval_oracle(output: Atom, program: Program,
     ctx = context_from_program(program, graph)
     if system is None:
         system = gen_constraints(program, ctx)
-    if check_feasible(system) is None:
+    if not check_feasible(system):
         raise InfeasibleError("No solution")
     if output not in graph.nodes:
         return 0.0, 0.0  # underivable: false in every world

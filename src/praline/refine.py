@@ -48,6 +48,8 @@ class RefineOutcome:
     interval: Interval
     flags: tuple
     bracket: Optional[BoundBracket] = None
+    # why the exact range was out of reach, when it was
+    reason: Optional[str] = None
 
 
 def _overlap(wl: float, wu: float, lo: float, hi: float) -> bool:
@@ -147,19 +149,22 @@ class SatChecker:
     exactly when it overlaps that range.  When the exact range is out of
     reach (a class defeating vertex enumeration, an objective template or a
     vertex product capping out) the range is the output's approximate
-    interval and the checker is flagged soundness_only: every answer stays
-    sound, but refinement cannot tighten anything.
+    interval and the checker is flagged soundness_only, with the cap's
+    message as its reason: every answer stays sound, but refinement cannot
+    tighten anything.
     """
 
     def __init__(self, env: CorrEnv, out: Atom, approx_map: dict):
         self.iv = approx_map[out]
         self.flags = set()
+        self.reason = None
         try:
             self.range = _exact_range(env, out)
         except DimensionCapExceeded as exc:
             log.warning("delta bounds for %s unavailable (%s), "
                         "reporting approximate interval", out, exc)
             self.flags.add("soundness_only")
+            self.reason = str(exc)
             self.range = (self.iv.lo, self.iv.hi)
 
     def sat(self, wl: float, wu: float) -> bool:
@@ -180,7 +185,7 @@ def refine_output(env: CorrEnv, out: Atom, approx_map: dict, delta: float
     lo = min(max(bracket.l_lo, iv.lo), iv.hi)
     hi = max(min(bracket.u_hi, iv.hi), lo)
     return RefineOutcome(Interval(lo, hi), tuple(sorted(checker.flags)),
-                         bracket)
+                         bracket, checker.reason)
 
 
 def make_delta_precise(env: CorrEnv, approx_map: dict, outputs: list,

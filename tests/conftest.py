@@ -214,6 +214,6 @@ def random_program_source(seed, singleton_only=False):
         graph = solve_standard(program)
         work = graph if graph.acyclic else break_cycles(graph)
         ctx = context_from_program(program, work)
-        if check_feasible(gen_constraints(program, ctx)) is not None:
+        if check_feasible(gen_constraints(program, ctx)):
             return src
     raise AssertionError(f"no feasible program for seed {seed}")

@@ -3,9 +3,11 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+import praline
 from praline.cli import run, solve_source
 
 from conftest import CHAIN, CONFLICT, ROADS, ROADS_APPROX, ROADS_EXACT
@@ -120,6 +122,56 @@ class TestOversizedClass:
     def test_feasible_class_keeps_unit_interval(self, mode, rest):
         f = solve_source(BIG + rest + "query(q).\n", mode=mode).facts[0]
         assert (f.lower, f.upper) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
+    def test_solve_builds_no_row_over_the_class(self, mode):
+        # a 20-member class has 2^20 assignments: one float row over them is
+        # 8 MB, and the unit interval it would yield needs none
+        names = ",".join(f"f{i}" for i in range(20))
+        src = f"corr({names}).\n0.5::f0.\n0.9::f1|f0.\n" \
+            "q :- f0, f1.\nquery(q).\n"
+        tracemalloc.start()
+        try:
+            f = solve_source(src, mode=mode).facts[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (f.lower, f.upper) == (0.0, 1.0)
+        assert peak < 2_000_000
+
+
+# Solves ROADS in every mode in a fresh interpreter, then a program whose
+# leaf range needs an LP; prints whether scipy.optimize was loaded after each.
+COLD_START = """
+import json, sys
+from praline.cli import solve_source
+roads, lp_program = json.load(sys.stdin)
+for mode in ("exact", "approx", "delta"):
+    solve_source(roads, mode=mode)
+after_roads = "scipy.optimize" in sys.modules
+f = solve_source(lp_program, mode="approx").facts[0]
+print(json.dumps([after_roads, "scipy.optimize" in sys.modules,
+                  f.lower, f.upper]))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_for_an_lp(self):
+        # b is only constrained by its conditional, and seven facts make a
+        # 128-column class, past VERTEX_DIM_CAP: its range takes an LP
+        names = ["a", "b"] + [f"f{i}" for i in range(5)]
+        lp_program = "".join(f"0.5::{n}.\n" for n in names if n != "b") + \
+            f"0.6::b|a.\ncorr({','.join(names)}).\nq :- b.\nquery(q).\n"
+        src_dir = os.path.dirname(os.path.dirname(praline.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", COLD_START],
+            input=json.dumps([ROADS, lp_program]), capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src_dir})
+        assert proc.returncode == 0, proc.stderr
+        after_roads, after_lp, lo, hi = json.loads(proc.stdout)
+        assert not after_roads
+        assert after_lp
+        assert (lo, hi) == pytest.approx((0.3, 0.8), abs=1e-9)
 
 
 class TestJsonReport:
@@ -238,6 +290,22 @@ class TestPythonApi:
         f = report.facts[0]
         assert f.mode == "soundness_only"
         assert "soundness_only" in f.flags
+
+    @pytest.mark.parametrize("mode", ["exact", "delta"])
+    def test_soundness_only_fact_says_why(self, tmp_path, capsys, mode):
+        prog = tmp_path / "wide.pl"
+        prog.write_text(WIDE + "0.5 :: b.\ng :- b.\nquery(g).\n")
+        out_path = tmp_path / "report.json"
+        assert run(["solve", str(prog), "--mode", mode,
+                    "--json", str(out_path)]) == 0
+        text = capsys.readouterr().out
+        by_atom = {f["atom"]: f for f in
+                   json.loads(out_path.read_text())["facts"]}
+        wide = by_atom["h"]
+        assert wide["mode"] == "soundness_only"
+        assert "class V1 " in wide["reason"]
+        assert "reason" not in by_atom["g"]
+        assert "defeats" not in text
 
     def test_module_entry_point(self, roads_file):
         proc = subprocess.run(

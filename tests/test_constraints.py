@@ -62,8 +62,8 @@ class TestRoadsSystem:
         graph = solve_standard(roads)
         ctx = context_from_program(roads, graph)
         system = gen_constraints(roads, ctx)
-        witness = check_feasible(system)
-        assert witness is not None
+        assert check_feasible(system)
+        witness = [cs.feasible_point() for cs in system.classes]
         assert len(witness) == 4
         for cs, w in zip(system.classes, witness):
             assert np.all(w >= -1e-12)
@@ -85,7 +85,7 @@ class TestFeasibility:
     def test_conflicting_conditionals_infeasible(self):
         program, graph, ctx = build(CONFLICT)
         system = gen_constraints(program, ctx)
-        assert check_feasible(system) is None
+        assert not check_feasible(system)
 
     def test_near_duplicate_conditionals_feasible(self):
         src = """
@@ -95,7 +95,7 @@ class TestFeasibility:
         """
         program, graph, ctx = build(src)
         system = gen_constraints(program, ctx)
-        assert check_feasible(system) is not None
+        assert check_feasible(system)
 
     def test_undeclared_marginal_stays_free(self):
         src = """
@@ -131,9 +131,9 @@ class TestFeasibility:
         """
         program, graph, ctx = build(src)
         system = gen_constraints(program, ctx)
-        w = check_feasible(system)
-        assert w is not None
-        for cs, x in zip(system.classes, w):
+        assert check_feasible(system)
+        for cs in system.classes:
+            x = cs.feasible_point()
             row = bit_row(2, 0)
             want = 1.0 if str(cs.members[0]) == "a" else 0.0
             assert_allclose(row @ x, want, atol=1e-9)
@@ -161,6 +161,26 @@ class TestOversizedClass:
         assert cs.too_big
         assert [str(m) for m in cs.projection.members] == ["f0", "f1"]
         assert cs.feasible_point() is None
+        assert not cs.feasible()
+
+    def test_witness_honours_declarations(self):
+        names = [f"f{i}" for i in range(17)]
+        program, graph, ctx = build(
+            f"corr({','.join(names)}).\n0.5::f0.\n0.9::f1|f0.\n")
+        cs = gen_constraints(program, ctx).classes[0]
+        assert cs.too_big
+        bits = {str(m): i for i, m in enumerate(cs.members)}
+        w = cs.feasible_point()
+        assert np.all(w >= 0.0)
+        assert_allclose(w.sum(), 1.0, atol=1e-9)
+        f0 = bit_row(cs.dim, bits["f0"])
+        both = f0 * bit_row(cs.dim, bits["f1"])
+        assert_allclose(f0 @ w, 0.5, atol=1e-9)
+        assert_allclose((both @ w) / (f0 @ w), 0.9, atol=1e-9)
+        # an unnamed member stays a fair coin, independent of the named ones
+        f5 = bit_row(cs.dim, bits["f5"])
+        assert_allclose(f5 @ w, 0.5, atol=1e-9)
+        assert_allclose((f5 * both) @ w, 0.5 * (both @ w), atol=1e-9)
 
 
 def test_describe_mentions_rows(roads):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from praline import parse
-from praline.constraints import check_feasible, gen_constraints
+from praline.constraints import gen_constraints
 from praline.grounder import solve_standard
 from praline.kernels import HAS_NUMBA, solve_supports
 from praline.optimizer import enumerate_class_vertices, optimize_exact
@@ -121,7 +121,7 @@ class TestExactOptimization:
         target = [n for n in graph.nodes if str(n) == "path(1,7)"][0]
         obj = gen_objective(graph, ctx, target)
         res = optimize_exact(obj, system)
-        witness = check_feasible(system)
+        witness = [cs.feasible_point() for cs in system.classes]
         for arg, want in [(res.arg_lo, res.lo), (res.arg_hi, res.hi)]:
             dists = list(witness)
             for c, x in arg.items():

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from praline import parse
-from praline.constraints import check_feasible, gen_constraints
+from praline.constraints import gen_constraints
 from praline.frontend import InfeasibleError, ScaleError
 from praline.grounder import break_cycles, solve_standard
 from praline.kernels import HAS_NUMBA
@@ -59,7 +59,7 @@ class TestWorldProb:
     def test_pinned_program_point(self, sixpack):
         graph, _, _, system = setup(sixpack)
         ws = build_world_space(sixpack, graph)
-        mu = check_feasible(system)
+        mu = [cs.feasible_point() for cs in system.classes]
         assert_allclose(world_prob(node(graph, "e"), mu, ws), SIXPACK_E,
                         atol=1e-9)
 
