@@ -15,7 +15,6 @@ from praline.frontend import (
     infer_correlation_classes,
     parse,
 )
-from praline.cli import BoundsReport, solve_program, solve_source
 
 __version__ = "0.1.0"
 
@@ -38,3 +37,15 @@ __all__ = [
     "solve_source",
     "__version__",
 ]
+
+# praline.cli loads the whole pipeline, so it is imported on first use of
+# one of these names (PEP 562); `python -m praline.cli` then runs the module
+# once, not after an import of it.
+_FROM_CLI = ("BoundsReport", "solve_program", "solve_source")
+
+
+def __getattr__(name):
+    if name in _FROM_CLI:
+        from praline import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module 'praline' has no attribute {name!r}")

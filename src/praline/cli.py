@@ -8,6 +8,7 @@ through possible-world enumeration for desk-scale cross-checking.
 
 import argparse
 import fnmatch
+import functools
 import json
 import logging
 import os
@@ -249,7 +250,12 @@ def _cmd_oracle(args, program) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Parsing leaves it unchanged: every call starts from a fresh namespace.
+    """
     p = argparse.ArgumentParser(
         prog="praline",
         description="Probability bounds for Datalog programs with "

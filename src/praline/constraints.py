@@ -13,17 +13,24 @@ A `ClassSystem` is the one owner of the answers about its polytope: its
 vertices, the range of a linear functional over it, a feasible point, and
 each member's marginal range.  All of them are read off the vertex set,
 enumerated once: a bounded polytope is empty exactly when it has no vertex,
-and a linear functional reaches its min and max at vertices.  HiGHS runs only
-for a class past the vertex enumeration caps, and to confirm that a class
-with no enumerated vertex is empty.  It is reached through
-`optimizer.linprog`, which imports scipy.optimize on its first call, so a
-program that needs no LP never loads scipy.
+and a linear functional reaches its min and max at vertices.
+
+A class past the vertex enumeration cap (`optimizer.VERTEX_DIM_CAP`) has
+`parts`: one system per connected component of its co-mention hypergraph,
+whose edges are the sets of members each declaration names.  Declarations
+that share no member constrain disjoint marginals, so the class is feasible
+exactly when every part is (the classical marginal problem), and each part
+is decided by its own vertices.
+
+HiGHS runs only for a part, or a range, past the vertex enumeration caps,
+and to confirm that a system with no enumerated vertex is empty.  It is
+reached through `optimizer.linprog`, which imports scipy.optimize on its
+first call, so a program that needs no LP never loads scipy.
 
 A class with more than `MAX_CONSTRAINT_BITS` members gets no rows, and a
 solve builds no array over its 2^n joint assignments: every member's
-marginal range is the unit interval, and its feasibility is that of its
-projection onto the members its declarations name.  Only its feasible
-point, which the oracle asks for, is such an array.
+marginal range is the unit interval, and its parts decide its feasibility.
+Only its feasible point, which the oracle asks for, is such an array.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 from praline import optimizer
 from praline.frontend import (Atom, DimensionCapExceeded, InputProbDecl,
                               Program, format_bits)
-from praline.optimizer import linprog
+from praline.optimizer import VERTEX_DIM_CAP, linprog
 from praline.symexpr import (
     ClassSpec,
     ExprContext,
@@ -64,9 +71,10 @@ class ClassSystem:
         field(default_factory=list)
     # member bit -> p of its declared marginal p::member.
     marginals: dict[int, float] = field(default_factory=dict)
-    # of a class too big for rows: the system over just the members its
-    # declarations name, when that fits; it decides the class's feasibility
-    projection: Optional["ClassSystem"] = None
+    # of a class past VERTEX_DIM_CAP: the systems of the co-mention
+    # components of its declarations (see `_parts`); they decide its
+    # feasibility.  None for a class decided by its own vertices or LP.
+    parts: Optional[list["ClassSystem"]] = None
     _verts: Optional[np.ndarray] = field(default=None, init=False, repr=False)
     _enumerated: bool = field(default=False, init=False, repr=False)
     _ranges: dict[int, tuple[float, float]] = \
@@ -103,37 +111,37 @@ class ClassSystem:
     def feasible(self) -> bool:
         """Whether the polytope has a point.
 
-        A class too big for rows is empty exactly when its projection is: a
-        point of the projection extends to the whole class by an independent
-        product.  With no projection (no member named, or too many to give
-        rows) it counts as feasible.
+        A class with parts is empty exactly when one of its parts is: the
+        parts' declarations constrain disjoint sets of members, so points of
+        every part extend to the whole class by an independent product.  A
+        component too big for a part is not checked and counts as feasible.
         """
-        if self.too_big:
-            return self.projection is None or self.projection.feasible()
+        if self.parts is not None:
+            return all(p.feasible() for p in self.parts)
         return self.feasible_point() is not None
 
     def feasible_point(self) -> Optional[np.ndarray]:
         """A point of the polytope, or None when it is empty.
 
-        A class too big for rows gets the independent product of its
-        projection's point and the uniform distribution over the members no
-        declaration names; it costs an array over all 2^n assignments, so
-        only the oracle asks for it.  With no projection (too many members
-        named) the witness is the uniform distribution, which does not honour
-        declarations that fix a probability other than the uniform one's.
+        A class too big for rows gets the independent product of its parts'
+        points and the uniform distribution over the other members; it costs
+        an array over all 2^n assignments, so only the oracle asks for it.
+        The members of a component too big for a part count as the others,
+        so the witness does not honour that component's declarations.
         """
         if self.too_big:
-            if self.projection is None:
-                return np.full(self.dim, 1.0 / self.dim)
-            sub = self.projection.feasible_point()
-            if sub is None:
-                return None
             idx = np.arange(self.dim)
-            sub_idx = np.zeros(self.dim, dtype=np.int64)
-            for i, m in enumerate(self.projection.members):
-                sub_idx |= ((idx >> self.members.index(m)) & 1) << i
-            free = len(self.members) - len(self.projection.members)
-            return sub[sub_idx] / (1 << free)
+            free = len(self.members) - sum(len(p.members) for p in self.parts)
+            point = np.full(self.dim, 1.0 / (1 << free))
+            for part in self.parts:
+                sub = part.feasible_point()
+                if sub is None:
+                    return None
+                sub_idx = np.zeros(self.dim, dtype=np.int64)
+                for i, m in enumerate(part.members):
+                    sub_idx |= ((idx >> self.members.index(m)) & 1) << i
+                point *= sub[sub_idx]
+            return point
         verts = self.vertices()
         if verts is not None:
             return verts[0]
@@ -228,17 +236,52 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
     classes = []
     for cpos, spec in enumerate(ctx.classes):
         if spec.size <= MAX_CONSTRAINT_BITS:
-            classes.append(_class_system(ctx, cpos, by_class[cpos]))
-            continue
-        cs = ClassSystem(spec.label, spec.members, None, None)
-        named = {a for decl in by_class[cpos] for a in decl.atoms()}
-        members = tuple(m for m in spec.members if m in named)
-        if members and len(members) <= MAX_CONSTRAINT_BITS:
-            sub = ExprContext([ClassSpec(spec.label, members)],
-                              {m: (0, i) for i, m in enumerate(members)}, {}, {})
-            cs.projection = _class_system(sub, 0, by_class[cpos])
+            cs = _class_system(ctx, cpos, by_class[cpos])
+        else:
+            cs = ClassSystem(spec.label, spec.members, None, None)
+        if cs.dim > VERTEX_DIM_CAP:
+            cs.parts = _parts(spec, by_class[cpos])
         classes.append(cs)
     return ConstraintSystem(classes, dict(ctx.var_prob))
+
+
+def _parts(spec: ClassSpec, decls: list[InputProbDecl]) -> list[ClassSystem]:
+    """The systems of the co-mention components of a class's declarations.
+
+    Two members are in one component when a chain of declarations, each
+    naming two of its links, joins them; a member no declaration names is in
+    none.  Each component gets the system of its own declarations over its
+    own members, in class order, unless it has more than
+    `MAX_CONSTRAINT_BITS` members: such a component gets no system.
+    """
+    root: dict[Atom, Atom] = {}
+
+    def find(a: Atom) -> Atom:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for decl in decls:
+        atoms = list(decl.atoms())
+        for a in atoms:
+            root.setdefault(a, a)
+        for a in atoms[1:]:
+            root[find(a)] = find(atoms[0])
+    members: dict[Atom, list[Atom]] = {}
+    for m in spec.members:
+        if m in root:
+            members.setdefault(find(m), []).append(m)
+    own: dict[Atom, list[InputProbDecl]] = {r: [] for r in members}
+    for decl in decls:
+        own[find(decl.head)].append(decl)
+    parts = []
+    for r, ms in members.items():
+        if len(ms) <= MAX_CONSTRAINT_BITS:
+            sub = ExprContext([ClassSpec(spec.label, tuple(ms))],
+                              {m: (0, i) for i, m in enumerate(ms)}, {}, {})
+            parts.append(_class_system(sub, 0, own[r]))
+    return parts
 
 
 def _class_system(ctx: ExprContext, cpos: int,

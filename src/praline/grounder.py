@@ -4,8 +4,11 @@ solve_standard evaluates the rules bottom-up over the skeleton model (every
 input fact assumed present, negative literals ignored) and records one
 hyperedge per ground rule firing.  The skeleton model contains every atom
 derivable in any possible world, so the recorded graph covers all
-derivations.  break_cycles unfolds recursive components into depth-indexed
-copies so that downstream passes see an acyclic graph.
+derivations.  The evaluation is semi-naive: each round joins only through
+the atoms the previous round derived, and a per-stratum watch index, from
+each predicate to the rules with a positive literal on it, limits a round
+to the rules its delta can fire.  break_cycles unfolds recursive components
+into depth-indexed copies so that downstream passes see an acyclic graph.
 """
 
 from __future__ import annotations
@@ -83,9 +86,11 @@ class DerivationGraph:
 
     def __post_init__(self):
         self._input_set = set(self.input_facts)
+        self._topo: Optional[list[Atom]] = None
 
     def rebuild_index(self):
         self._input_set = set(self.input_facts)
+        self._topo = None
         self.in_edges = {}
         node_seen = dict.fromkeys(self.input_facts)
         for i, e in enumerate(self.edges):
@@ -103,7 +108,13 @@ class DerivationGraph:
         return len(self.event_var)
 
     def topo_order(self) -> list[Atom]:
-        """Topological order of the acyclic graph, inputs first."""
+        """Topological order of the acyclic graph, inputs first.
+
+        Computed once per index: `rebuild_index` clears it.  Callers share
+        the list and must not change it.
+        """
+        if self._topo is not None:
+            return self._topo
         indeg = {n: 0 for n in self.nodes}
         out: dict[Atom, list[Atom]] = {n: [] for n in self.nodes}
         for e in self.edges:
@@ -122,6 +133,7 @@ class DerivationGraph:
                     order.append(h)
         if len(order) != len(self.nodes):
             raise PralineError("graph is cyclic; run break_cycles first")
+        self._topo = order
         return order
 
     def describe(self) -> str:
@@ -172,8 +184,12 @@ def check_safety(rule: Rule):
                               "do not occur in the positive body")
 
 
-def stratify(program: Program) -> dict[str, int]:
-    """Assign a stratum to every predicate; negation may not cross a cycle."""
+def stratify(program: Program) -> tuple[dict[str, int], bool]:
+    """Assign a stratum to every predicate; negation may not cross a cycle.
+
+    Also says whether any predicate is recursive: without that, no ground
+    atom can depend on itself either.
+    """
     preds: set[str] = set()
     edges: dict[str, set[tuple[str, int]]] = {}
     for f in program.input_facts:
@@ -196,22 +212,19 @@ def stratify(program: Program) -> dict[str, int]:
                 raise NonStratifiedError(
                     f"negation on {dep} inside a recursive component of {head}")
 
-    # strata: relax head >= dep (+1 across negation) to a fixed point
-    strata = {p: 0 for p in preds}
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > len(preds) + 2:
-            raise NonStratifiedError("stratification did not converge")
-        for head, deps in edges.items():
-            for dep, sign in deps:
-                need = strata[dep] + (1 if sign < 0 else 0)
-                if strata[head] < need:
-                    strata[head] = need
-                    changed = True
-    return strata
+    # strata: the least with head >= dep (+1 across negation).  A component
+    # shares one stratum, as its inner edges are positive, and _tarjan lists
+    # the components dependencies first, so one pass settles them all.
+    strata: dict[str, int] = {}
+    for i, c in enumerate(comp):
+        level = max((strata[dep] + (1 if sign < 0 else 0)
+                     for p in c for dep, sign in edges.get(p, ())
+                     if comp_of[dep] != i), default=0)
+        for p in c:
+            strata[p] = level
+    recursive = any(len(c) > 1 or (c[0], 1) in edges.get(c[0], ())
+                    for c in comp)
+    return strata, recursive
 
 
 def _tarjan(nodes, succ) -> list[list]:
@@ -287,30 +300,49 @@ def _join(literals: list[Atom], db: _Db, subst: dict[str, Term],
     """All substitutions grounding the positive literals against db.
 
     pinned = (position, atom) forces one literal to match a specific atom,
-    which is how the semi-naive delta is threaded through.
+    which is how the semi-naive delta is threaded through.  A literal that
+    the bindings so far make ground is looked up, not matched against every
+    atom of its predicate.
     """
     def rec(i: int, s: dict[str, Term]) -> Iterator[dict[str, Term]]:
         if i == len(literals):
             yield s
             return
-        lit = literals[i]
+        lit = _apply(literals[i], s)
         if pinned is not None and i == pinned[0]:
-            cands = [pinned[1]]
+            cands = (pinned[1],)
+        elif lit.is_ground:
+            cands = (lit,) if lit in db.all else ()
         else:
             cands = db.candidates(lit)
         for g in cands:
-            s2 = _match(_apply(lit, s), g, s)
+            s2 = _match(lit, g, s)
             if s2 is not None:
                 yield from rec(i + 1, s2)
 
     yield from rec(0, subst)
 
 
+def _fire(rule: Rule, pos: list[Atom], new: _Db, db: _Db,
+          found: dict[Atom, None]):
+    """Add to found the unknown heads of rule's firings through the delta.
+
+    Each firing joins one positive literal against the delta atoms in new
+    and the others against db, once for every literal position.
+    """
+    for j in range(len(pos)):
+        for d in new.candidates(pos[j]):
+            for s in _join(pos, db, {}, pinned=(j, d)):
+                head = _apply(rule.head, s)
+                if head not in db.all:
+                    found[head] = None
+
+
 def solve_standard(program: Program) -> DerivationGraph:
     """Ground the program and record every rule firing as a hyperedge."""
     for r in program.rules:
         check_safety(r)
-    strata = stratify(program)
+    strata, recursive = stratify(program)
     inputs = program.input_facts
 
     db = _Db()
@@ -324,11 +356,19 @@ def solve_standard(program: Program) -> DerivationGraph:
 
     # fixpoint per stratum, semi-naive: each round only joins through the
     # atoms discovered in the previous round, indexed like the database so
-    # a literal only meets the delta atoms of its own predicate
+    # a literal only meets the delta atoms of its own predicate.  The watch
+    # index maps a predicate to the rules with a positive literal on it, so
+    # a round visits only the rules its delta can fire, in rule order.
     for stratum_rules in rules_by_stratum:
+        bodies = [[l.atom for l in rule.body if not l.negated]
+                  for _, rule in stratum_rules]
+        watch: dict[tuple[str, int], list[int]] = {}
+        for k, pos in enumerate(bodies):
+            for a in pos:
+                watch.setdefault((a.functor, len(a.args)), []).append(k)
         delta = list(db.all)
-        for _, rule in stratum_rules:
-            if not any(not l.negated for l in rule.body):
+        for (_, rule), pos in zip(stratum_rules, bodies):
+            if not pos:
                 head = _apply(rule.head, {})
                 if db.add(head):
                     delta.append(head)
@@ -337,16 +377,9 @@ def solve_standard(program: Program) -> DerivationGraph:
             for d in delta:
                 new.add(d)
             found: dict[Atom, None] = {}
-            for _, rule in stratum_rules:
-                pos = [l.atom for l in rule.body if not l.negated]
-                if not pos:
-                    continue
-                for j in range(len(pos)):
-                    for d in new.candidates(pos[j]):
-                        for s in _join(pos, db, {}, pinned=(j, d)):
-                            head = _apply(rule.head, s)
-                            if head not in db.all:
-                                found[head] = None
+            for k in sorted({k for key in new.by_pred
+                             for k in watch.get(key, ())}):
+                _fire(stratum_rules[k][1], bodies[k], new, db, found)
             delta = [a for a in found if db.add(a)]
 
     # enumeration pass: every firing over the final model, in rule order
@@ -366,7 +399,7 @@ def solve_standard(program: Program) -> DerivationGraph:
                         input_facts=list(inputs), strata=strata)
     g.rebuild_index()
     _assign_events(g)
-    g.acyclic = not _find_cycles(g)
+    g.acyclic = not recursive or not _find_cycles(g)
     return g
 
 

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 import praline
-from praline.cli import run, solve_source
+from praline.cli import build_parser, run, solve_source
 
 from conftest import CHAIN, CONFLICT, ROADS, ROADS_APPROX, ROADS_EXACT
 
@@ -73,6 +73,17 @@ class TestSolveModes:
         assert "path(1,5)" in atoms
         assert "path(1,6)" in atoms
         assert all(a.startswith("path(1,") for a in atoms)
+
+    def test_query_flags_do_not_carry_over(self, roads_file, capsys):
+        # one parser serves every call; the list --query appends to must not
+        # carry over from one call to the next
+        assert build_parser() is build_parser()
+        run(["solve", roads_file, "--mode", "approx", "--query", "path(1,5)"])
+        first = re.findall(r"^(\S+):", capsys.readouterr().out, re.M)
+        assert first == ["path(1,5)"]
+        run(["solve", roads_file, "--mode", "approx"])
+        second = re.findall(r"^(\S+):", capsys.readouterr().out, re.M)
+        assert second == ["path(1,5)", "path(1,6)", "path(1,7)"]
 
     def test_delta_flag_changes_precision(self, roads_file, capsys):
         run(["solve", roads_file, "--mode", "delta", "--delta", "0.05"])
@@ -155,6 +166,24 @@ print(json.dumps([after_roads, "scipy.optimize" in sys.modules,
 """
 
 
+# Solves a 14-fact class of independent marginals in delta mode in a fresh
+# interpreter, counting the LPs; prints the count and whether scipy.optimize
+# was loaded.
+MARGINALS_ONLY = """
+import json, sys
+import praline.constraints as constraints
+from praline.cli import solve_source
+calls = []
+lp = constraints.linprog
+constraints.linprog = lambda *a, **k: calls.append(1) or lp(*a, **k)
+names = [f"f{i}" for i in range(14)]
+src = "".join(f"0.5::{n}.\\n" for n in names) + \\
+    f"corr({','.join(names)}).\\nq :- f0, f1.\\nquery(q).\\n"
+f = solve_source(src, mode="delta").facts[0]
+print(json.dumps([len(calls), "scipy.optimize" in sys.modules, f.mode]))
+"""
+
+
 class TestColdStart:
     def test_scipy_loads_only_for_an_lp(self):
         # b is only constrained by its conditional, and seven facts make a
@@ -172,6 +201,16 @@ class TestColdStart:
         assert not after_roads
         assert after_lp
         assert (lo, hi) == pytest.approx((0.3, 0.8), abs=1e-9)
+
+    def test_independent_marginals_need_no_lp(self):
+        # a 2^14-column class whose declarations share no fact: each is
+        # decided by its own one-member part
+        src_dir = os.path.dirname(os.path.dirname(praline.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", MARGINALS_ONLY], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src_dir})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, False, "soundness_only"]
 
 
 class TestJsonReport:
@@ -314,6 +353,15 @@ class TestPythonApi:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "path(1,7): [0.344448, 0.412992]" in proc.stdout
+
+    @pytest.mark.parametrize("module", ["praline.cli", "praline"])
+    def test_module_runs_without_warning(self, roads_file, module):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "solve", roads_file],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "path(1,7): " in proc.stdout
 
 
 class TestExactFallback:

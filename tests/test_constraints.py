@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import linprog
 
 from praline import parse
 from praline.constraints import bit_row, check_feasible, gen_constraints
@@ -159,7 +160,8 @@ class TestOversizedClass:
             f"corr({','.join(names)}).\n0.5::f0.\n0.9::f1|f0.\n0.1::f1|f0.\n")
         cs = gen_constraints(program, ctx).classes[0]
         assert cs.too_big
-        assert [str(m) for m in cs.projection.members] == ["f0", "f1"]
+        assert [[str(m) for m in p.members] for p in cs.parts] == \
+            [["f0", "f1"]]
         assert cs.feasible_point() is None
         assert not cs.feasible()
 
@@ -181,6 +183,82 @@ class TestOversizedClass:
         f5 = bit_row(cs.dim, bits["f5"])
         assert_allclose(f5 @ w, 0.5, atol=1e-9)
         assert_allclose((f5 * both) @ w, 0.5 * (both @ w), atol=1e-9)
+
+
+class TestManyNamedMembers:
+    # 18 named members are too many for one system of rows, but no
+    # declaration names more than two of them: 17 parts
+    NAMES = [f"f{i}" for i in range(18)]
+    SRC = f"corr({','.join(NAMES)}).\n0.5::f0.\n0.9::f1|f0.\n" + \
+        "".join(f"0.3::{n}.\n" for n in NAMES[2:])
+
+    def test_witness_honours_every_part(self):
+        program, graph, ctx = build(self.SRC)
+        [cs] = gen_constraints(program, ctx).classes
+        assert cs.too_big and len(cs.parts) == 17
+        bits = {str(m): i for i, m in enumerate(cs.members)}
+        w = cs.feasible_point()
+        assert_allclose(w.sum(), 1.0, atol=1e-9)
+        f0, f1 = (bit_row(cs.dim, bits[n]) for n in ("f0", "f1"))
+        assert_allclose(f0 @ w, 0.5, atol=1e-9)
+        assert_allclose((f0 * f1) @ w, 0.45, atol=1e-9)
+        for n in self.NAMES[2:]:
+            assert_allclose(bit_row(cs.dim, bits[n]) @ w, 0.3, atol=1e-9)
+
+    def test_conflict_in_one_part_is_found(self):
+        program, graph, ctx = build(self.SRC + "0.1::f1|f0.\n")
+        [cs] = gen_constraints(program, ctx).classes
+        assert not cs.feasible()
+        assert cs.feasible_point() is None
+
+
+def _random_class_source(rng) -> str:
+    """One corr class of 7 to 10 members with random declarations.
+
+    A third of the declarations come with a twin of a random probability;
+    twins that differ conflict unless their givens can have probability 0.
+    """
+    names = [f"f{i}" for i in range(int(rng.integers(7, 11)))]
+    lines = [f"corr({','.join(names)})."]
+    for _ in range(int(rng.integers(1, 7))):
+        picked = rng.choice(names, size=int(rng.integers(1, 4)),
+                            replace=False)
+        givens = ",".join(("\\+" if rng.random() < 0.3 else "") + g
+                          for g in picked[1:])
+        tail = f"|{givens}." if givens else "."
+        probs = [int(rng.integers(0, 11)) / 10]
+        if rng.random() < 1 / 3:
+            probs.append(int(rng.integers(0, 11)) / 10)
+        lines += [f"{p}::{picked[0]}{tail}" for p in probs]
+    return "\n".join(lines) + "\n"
+
+
+class TestParts:
+    def test_verdict_matches_a_whole_class_lp(self):
+        verdicts = []
+        for seed in range(48):
+            src = _random_class_source(np.random.default_rng(seed))
+            program, graph, ctx = build(src)
+            [cs] = gen_constraints(program, ctx).classes
+            assert cs.parts is not None and not cs.too_big
+            res = linprog(np.zeros(cs.dim), A_eq=cs.a_eq, b_eq=cs.b_eq,
+                          bounds=(0, 1), method="highs")
+            assert cs.feasible() == res.success, src
+            verdicts.append(res.success)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_parts_split_on_shared_facts(self):
+        names = [f"f{i}" for i in range(8)]
+        program, graph, ctx = build(
+            f"corr({','.join(names)}).\n0.5::f3.\n0.4::f1|f3.\n"
+            "0.2::f6|\\+f5.\n0.7::f7.\n")
+        [cs] = gen_constraints(program, ctx).classes
+        # members keep the class's order, declared facts first
+        assert [str(m) for m in cs.members[:5]] == \
+            ["f3", "f1", "f6", "f5", "f7"]
+        assert [[str(m) for m in p.members] for p in cs.parts] == \
+            [["f3", "f1"], ["f6", "f5"], ["f7"]]
+        assert [len(p.decls) for p in cs.parts] == [2, 1, 1]
 
 
 def test_describe_mentions_rows(roads):

@@ -158,6 +158,15 @@ def test_topo_order(roads):
             assert order[b] < order[e.head]
 
 
+def test_topo_order_is_kept_until_the_index_changes(roads):
+    g = solve_standard(roads)
+    order = g.topo_order()
+    assert g.topo_order() is order
+    g.rebuild_index()
+    assert g.topo_order() is not order
+    assert g.topo_order() == order
+
+
 # A chain with a back link on every third step, so path/2 is recursive
 # through cycles, and a transitive closure joining two recursive literals.
 CHAIN = "".join(f"0.5::edge({i},{i + 1}).\n" for i in range(7)) + \
