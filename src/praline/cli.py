@@ -37,10 +37,8 @@ from .oracle import (
     sample_feasible_mu,
     world_probs,
 )
-from .refine import _exact_range, make_delta_precise
+from .refine import exact_or_approx, make_delta_precise
 from .symexpr import context_from_program, expr_str, gen_objective
-
-log = logging.getLogger("praline")
 
 
 @dataclass
@@ -126,20 +124,15 @@ def solve_program(program, mode="delta", delta=0.01,
     outputs, absent = _select_outputs(program, work, queries)
     facts = []
     if mode == "exact":
-        approx_cache = None
+        # the approx pass runs only if some output's exact range is out of reach
+        approx_map = functools.cache(lambda: approx_bounds(env))
         for out in outputs:
-            try:
-                lo, hi = _exact_range(env, out)
+            (lo, hi), reason = exact_or_approx(env, out, approx_map, "exact")
+            if reason is None:
                 facts.append(FactBounds(str(out), lo, hi, "exact", []))
-            except DimensionCapExceeded as exc:
-                log.warning("exact bounds for %s unavailable (%s), "
-                            "reporting approximate interval", out, exc)
-                if approx_cache is None:
-                    approx_cache = approx_bounds(env)
-                iv = approx_cache[out]
-                facts.append(FactBounds(str(out), iv.lo, iv.hi,
-                                        "soundness_only", ["soundness_only"],
-                                        str(exc)))
+            else:
+                facts.append(FactBounds(str(out), lo, hi, "soundness_only",
+                                        ["soundness_only"], reason))
     elif mode == "approx":
         m = approx_bounds(env)
         for out in outputs:
@@ -240,11 +233,14 @@ def _cmd_oracle(args, program) -> int:
         mus = sample_feasible_mu(system, rng, args.samples)
         sampled = world_probs(outputs, mus, ws)
     for j, out in enumerate(outputs):
-        lo, hi = exact_interval_oracle(out, program, system)
+        try:
+            lo, hi = exact_interval_oracle(out, program, system)
+            exact = f"exact [{lo:.6g}, {hi:.6g}]"
+        except DimensionCapExceeded as exc:
+            exact = f"exact unavailable ({exc})"
         col = sampled[:, j]
-        print(f"{out}: exact [{lo:.6g}, {hi:.6g}], "
-              f"{args.samples} sampled mu in [{col.min():.6g}, "
-              f"{col.max():.6g}]")
+        print(f"{out}: {exact}, {args.samples} sampled mu in "
+              f"[{col.min():.6g}, {col.max():.6g}]")
     for q in absent:
         print(f"{q}: exact [0, 0]  (underivable)")
     return 0

@@ -44,15 +44,7 @@ from praline import optimizer
 from praline.frontend import (Atom, DimensionCapExceeded, InputProbDecl,
                               Program, format_bits)
 from praline.optimizer import VERTEX_DIM_CAP, linprog
-from praline.symexpr import (
-    ClassSpec,
-    ExprContext,
-    ProbExpr,
-    coeff_eval,
-    expr_of_input,
-    mul,
-    neg,
-)
+from praline.symexpr import ExprContext
 
 # classes above this size get no explicit rows; they fall into the
 # soundness-only path downstream
@@ -210,19 +202,6 @@ class ConstraintSystem:
         return "\n".join(lines)
 
 
-def _row_of(e: ProbExpr, cpos: int, dim: int) -> np.ndarray:
-    vec = np.zeros(dim)
-    if e.support == ():
-        lam = e.terms.get(())
-        if lam:
-            vec += coeff_eval(lam, {})
-        return vec
-    assert e.support == (cpos,), "declaration row spans classes"
-    for psi, lam in e.terms.items():
-        vec[psi[0]] = coeff_eval(lam, {})
-    return vec
-
-
 def _row_str(label: str, vec: np.ndarray, width: int) -> str:
     parts = [f"{label}[{format_bits(i, width)}]"
              for i, v in enumerate(vec) if abs(v) > 1e-12]
@@ -236,16 +215,16 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
     classes = []
     for cpos, spec in enumerate(ctx.classes):
         if spec.size <= MAX_CONSTRAINT_BITS:
-            cs = _class_system(ctx, cpos, by_class[cpos])
+            cs = _class_system(spec.label, spec.members, by_class[cpos])
         else:
             cs = ClassSystem(spec.label, spec.members, None, None)
         if cs.dim > VERTEX_DIM_CAP:
-            cs.parts = _parts(spec, by_class[cpos])
+            cs.parts = _parts(cs, by_class[cpos])
         classes.append(cs)
     return ConstraintSystem(classes, dict(ctx.var_prob))
 
 
-def _parts(spec: ClassSpec, decls: list[InputProbDecl]) -> list[ClassSystem]:
+def _parts(cs: ClassSystem, decls: list[InputProbDecl]) -> list[ClassSystem]:
     """The systems of the co-mention components of a class's declarations.
 
     Two members are in one component when a chain of declarations, each
@@ -269,7 +248,7 @@ def _parts(spec: ClassSpec, decls: list[InputProbDecl]) -> list[ClassSystem]:
         for a in atoms[1:]:
             root[find(a)] = find(atoms[0])
     members: dict[Atom, list[Atom]] = {}
-    for m in spec.members:
+    for m in cs.members:
         if m in root:
             members.setdefault(find(m), []).append(m)
     own: dict[Atom, list[InputProbDecl]] = {r: [] for r in members}
@@ -278,51 +257,42 @@ def _parts(spec: ClassSpec, decls: list[InputProbDecl]) -> list[ClassSystem]:
     parts = []
     for r, ms in members.items():
         if len(ms) <= MAX_CONSTRAINT_BITS:
-            sub = ExprContext([ClassSpec(spec.label, tuple(ms))],
-                              {m: (0, i) for i, m in enumerate(ms)}, {}, {})
-            parts.append(_class_system(sub, 0, own[r]))
+            parts.append(_class_system(cs.label, tuple(ms), own[r]))
     return parts
 
 
-def _class_system(ctx: ExprContext, cpos: int,
+def _class_system(label: str, members: tuple[Atom, ...],
                   decls: list[InputProbDecl]) -> ClassSystem:
-    """The rows of one class's declarations, plus the sum-to-one row."""
-    spec = ctx.classes[cpos]
-    dim = 1 << spec.size
+    """The rows of one class's declarations, plus the sum-to-one row.
+
+    A conditional p::I | S. is the row P(I and S) - p * P(S) = 0.  The row
+    of a conjunction is 1 on the assignments where every literal holds: the
+    product of the literals' bit masks, a negated given's mask inverted.
+    """
+    dim = 1 << len(members)
+    bit = {m: i for i, m in enumerate(members)}
     rows: list[np.ndarray] = [np.ones(dim)]
     vals: list[float] = [1.0]
     shown: list[tuple] = []
     marginals: dict[int, float] = {}
-
-    def conj_expr(decl: InputProbDecl, skip_head: bool) -> ProbExpr:
-        acc = None
-        lits = list(decl.givens) if skip_head else [None] + list(decl.givens)
-        for lit in lits:
-            if lit is None:
-                e = expr_of_input(ctx, decl.head)
-            else:
-                e = expr_of_input(ctx, lit.atom)
-                if lit.negated:
-                    e = neg(e)
-            acc = e if acc is None else mul(acc, e)
-        return acc
-
     for decl in decls:
+        head = bit_row(dim, bit[decl.head])
         if decl.is_marginal:
-            bit = ctx.fact_bit[decl.head][1]
-            row = bit_row(dim, bit)
-            rows.append(row)
+            rows.append(head)
             vals.append(decl.prob)
-            shown.append((row, None, decl.prob))
-            marginals[bit] = decl.prob
+            shown.append((head, None, decl.prob))
+            marginals[bit[decl.head]] = decl.prob
         else:
-            lhs = _row_of(conj_expr(decl, skip_head=False), cpos, dim)
-            rhs = _row_of(conj_expr(decl, skip_head=True), cpos, dim)
+            rhs = np.ones(dim)
+            for lit in decl.givens:
+                given = bit_row(dim, bit[lit.atom])
+                rhs *= 1.0 - given if lit.negated else given
+            lhs = head * rhs
             rows.append(lhs - decl.prob * rhs)
             vals.append(0.0)
             shown.append((lhs, rhs, decl.prob))
-    return ClassSystem(spec.label, spec.members, np.vstack(rows),
-                       np.array(vals), shown, marginals)
+    return ClassSystem(label, members, np.vstack(rows), np.array(vals),
+                       shown, marginals)
 
 
 def check_feasible(system: ConstraintSystem) -> bool:

@@ -1,48 +1,32 @@
-"""Hot numeric kernels with numba and pure-numpy lanes.
+"""Hot numeric kernels, vectorized with numpy.
 
 Two workloads dominate runtime: solving many small linear systems during
 vertex enumeration, and evaluating the least model over every world during
-oracle runs.  Both get an njit lane and a vectorized numpy lane; set
-PRALINE_NO_NUMBA=1 to force the numpy lane.
+oracle runs.  Each kernel works on whole batches of supports or worlds at
+once.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("PRALINE_NO_NUMBA", "").strip() not in ("", "0")
-
+# read only by perfbench/run.py, which reports the kernel lane it measured
 HAS_NUMBA = False
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        pass
-
-if not HAS_NUMBA:
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
 
 
 def active_lane() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # support solving: for each column subset S of A, solve A[:, S] y = b
 # ---------------------------------------------------------------------------
 
-def solve_supports(a, b, combos, lane=None):
+# supports solved per batched SVD
+SVD_CHUNK = 2048
+
+
+def solve_supports(a, b, combos):
     """Solve A[:, S] y = b for every row S of combos.
 
     Returns (ys, ok) where ok marks subsets whose columns are linearly
@@ -55,19 +39,11 @@ def solve_supports(a, b, combos, lane=None):
     if combos.size == 0:
         r = combos.shape[1] if combos.ndim == 2 else 0
         return np.zeros((0, r)), np.zeros(0, dtype=bool)
-    if lane is None:
-        lane = active_lane()
-    if lane == "numba":
-        return _solve_supports_nb(a, b, combos)
-    return _solve_supports_np(a, b, combos)
-
-
-def _solve_supports_np(a, b, combos, chunk=2048):
     n, r = combos.shape
     ys = np.zeros((n, r))
     ok = np.zeros(n, dtype=bool)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, SVD_CHUNK):
+        hi = min(lo + SVD_CHUNK, n)
         cols = np.moveaxis(a[:, combos[lo:hi]], 0, 1)  # (c, m, r)
         u, s, vt = np.linalg.svd(cols, full_matrices=False)
         good = s[:, -1] > 1e-10 * np.maximum(s[:, 0], 1.0)
@@ -78,99 +54,25 @@ def _solve_supports_np(a, b, combos, chunk=2048):
     return ys, ok
 
 
-@njit(cache=True)
-def _solve_supports_nb(a, b, combos):
-    n, r = combos.shape
-    m = a.shape[0]
-    ys = np.zeros((n, r))
-    ok = np.zeros(n, dtype=np.bool_)
-    gram = np.zeros((r, r + 1))
-    for c in range(n):
-        # normal equations for the selected columns
-        for i in range(r):
-            ci = combos[c, i]
-            for j in range(r):
-                cj = combos[c, j]
-                s = 0.0
-                for k in range(m):
-                    s += a[k, ci] * a[k, cj]
-                gram[i, j] = s
-            s = 0.0
-            for k in range(m):
-                s += a[k, ci] * b[k]
-            gram[i, r] = s
-        scale = 0.0
-        for i in range(r):
-            if abs(gram[i, i]) > scale:
-                scale = abs(gram[i, i])
-        if scale == 0.0:
-            continue
-        singular = False
-        for col in range(r):
-            piv = col
-            for i in range(col + 1, r):
-                if abs(gram[i, col]) > abs(gram[piv, col]):
-                    piv = i
-            if abs(gram[piv, col]) <= 1e-12 * scale:
-                singular = True
-                break
-            if piv != col:
-                for j in range(r + 1):
-                    tmp = gram[col, j]
-                    gram[col, j] = gram[piv, j]
-                    gram[piv, j] = tmp
-            for i in range(col + 1, r):
-                f = gram[i, col] / gram[col, col]
-                for j in range(col, r + 1):
-                    gram[i, j] -= f * gram[col, j]
-        if singular:
-            continue
-        for i in range(r - 1, -1, -1):
-            s = gram[i, r]
-            for j in range(i + 1, r):
-                s -= gram[i, j] * ys[c, j]
-            ys[c, i] = s / gram[i, i]
-        ok[c] = True
-    return ys, ok
-
-
 # ---------------------------------------------------------------------------
 # world-space fixpoint: least model of the ground program in every world
 # ---------------------------------------------------------------------------
 
 def fixpoint_table(ids, n_nodes, input_bit, head, ev_bit,
-                   body_off, body_node, body_sign, strat_off, lane=None):
+                   body_off, body_node, body_sign, strat_off):
     """Boolean table (n_worlds, n_nodes) of the least model per world.
 
     Edges are grouped by stratum; within a stratum firing repeats to a
     fixpoint, so cyclic positive dependencies are fine.  A negative body
     literal refers to a node settled in an earlier stratum.
     """
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    input_bit = np.ascontiguousarray(input_bit, dtype=np.int64)
-    head = np.ascontiguousarray(head, dtype=np.int64)
-    ev_bit = np.ascontiguousarray(ev_bit, dtype=np.int64)
-    body_off = np.ascontiguousarray(body_off, dtype=np.int64)
-    body_node = np.ascontiguousarray(body_node, dtype=np.int64)
-    body_sign = np.ascontiguousarray(body_sign, dtype=np.uint8)
-    strat_off = np.ascontiguousarray(strat_off, dtype=np.int64)
-    if lane is None:
-        lane = active_lane()
-    if lane == "numba":
-        return _fixpoint_nb(ids, n_nodes, input_bit, head, ev_bit,
-                            body_off, body_node, body_sign, strat_off)
-    return _fixpoint_np(ids, n_nodes, input_bit, head, ev_bit,
-                        body_off, body_node, body_sign, strat_off)
-
-
-def _fixpoint_np(ids, n_nodes, input_bit, head, ev_bit,
-                 body_off, body_node, body_sign, strat_off):
+    ids = np.asarray(ids, dtype=np.int64)
     w = ids.shape[0]
     val = np.zeros((w, n_nodes), dtype=bool)
     for j in range(n_nodes):
         if input_bit[j] >= 0:
             val[:, j] = ((ids >> input_bit[j]) & 1) != 0
-    for s in range(strat_off.shape[0] - 1):
+    for s in range(len(strat_off) - 1):
         changed = True
         while changed:
             changed = False
@@ -189,95 +91,20 @@ def _fixpoint_np(ids, n_nodes, input_bit, head, ev_bit,
     return val
 
 
-@njit(cache=True)
-def _fixpoint_nb(ids, n_nodes, input_bit, head, ev_bit,
-                 body_off, body_node, body_sign, strat_off):
-    w = ids.shape[0]
-    val = np.zeros((w, n_nodes), dtype=np.bool_)
-    for i in range(w):
-        wid = ids[i]
-        for j in range(n_nodes):
-            if input_bit[j] >= 0:
-                val[i, j] = (wid >> input_bit[j]) & 1 != 0
-        for s in range(strat_off.shape[0] - 1):
-            changed = True
-            while changed:
-                changed = False
-                for e in range(strat_off[s], strat_off[s + 1]):
-                    if val[i, head[e]]:
-                        continue
-                    if ev_bit[e] >= 0 and (wid >> ev_bit[e]) & 1 == 0:
-                        continue
-                    fire = True
-                    for t in range(body_off[e], body_off[e + 1]):
-                        v = val[i, body_node[t]]
-                        if body_sign[t]:
-                            if not v:
-                                fire = False
-                                break
-                        elif v:
-                            fire = False
-                            break
-                    if fire:
-                        val[i, head[e]] = True
-                        changed = True
-    return val
-
-
 # ---------------------------------------------------------------------------
 # world weights: P(world) under a product of class distributions and events
 # ---------------------------------------------------------------------------
 
 def world_weights(ids, cls_off, cls_bits, dist_off, dist_flat,
-                  ev_prob, ev_base, lane=None):
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    cls_off = np.ascontiguousarray(cls_off, dtype=np.int64)
-    cls_bits = np.ascontiguousarray(cls_bits, dtype=np.int64)
-    dist_off = np.ascontiguousarray(dist_off, dtype=np.int64)
-    dist_flat = np.ascontiguousarray(dist_flat, dtype=np.float64)
-    ev_prob = np.ascontiguousarray(ev_prob, dtype=np.float64)
-    if lane is None:
-        lane = active_lane()
-    if lane == "numba":
-        return _world_weights_nb(ids, cls_off, cls_bits, dist_off, dist_flat,
-                                 ev_prob, ev_base)
-    return _world_weights_np(ids, cls_off, cls_bits, dist_off, dist_flat,
-                             ev_prob, ev_base)
-
-
-def _world_weights_np(ids, cls_off, cls_bits, dist_off, dist_flat,
-                      ev_prob, ev_base):
+                  ev_prob, ev_base):
+    ids = np.asarray(ids, dtype=np.int64)
     w = np.ones(ids.shape[0])
-    for c in range(cls_off.shape[0] - 1):
+    for c in range(len(cls_off) - 1):
         idx = np.zeros(ids.shape[0], dtype=np.int64)
         for k, t in enumerate(range(cls_off[c], cls_off[c + 1])):
             idx |= ((ids >> cls_bits[t]) & 1) << k
         w *= dist_flat[dist_off[c] + idx]
-    for j in range(ev_prob.shape[0]):
+    for j in range(len(ev_prob)):
         on = ((ids >> (ev_base + j)) & 1) != 0
         w *= np.where(on, ev_prob[j], 1.0 - ev_prob[j])
-    return w
-
-
-@njit(cache=True)
-def _world_weights_nb(ids, cls_off, cls_bits, dist_off, dist_flat,
-                      ev_prob, ev_base):
-    n = ids.shape[0]
-    w = np.ones(n)
-    for i in range(n):
-        wid = ids[i]
-        p = 1.0
-        for c in range(cls_off.shape[0] - 1):
-            idx = 0
-            k = 0
-            for t in range(cls_off[c], cls_off[c + 1]):
-                idx |= ((wid >> cls_bits[t]) & 1) << k
-                k += 1
-            p *= dist_flat[dist_off[c] + idx]
-        for j in range(ev_prob.shape[0]):
-            if (wid >> (ev_base + j)) & 1 != 0:
-                p *= ev_prob[j]
-            else:
-                p *= 1.0 - ev_prob[j]
-        w[i] = p
     return w

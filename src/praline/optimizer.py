@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,15 +52,14 @@ class OptResult:
     arg_hi: dict[int, np.ndarray]
 
 
-def enumerate_class_vertices(cs: ClassSystem, lane: Optional[str] = None
-                             ) -> np.ndarray:
+def enumerate_class_vertices(cs: ClassSystem) -> np.ndarray:
     """All vertices of one class polytope, deduplicated; no rows if it is empty.
 
     The polytope is {x >= 0 : a_eq x = b_eq}, so its vertices are the basic
     feasible solutions of the equality system.  Rank-deficient column
-    subsets are skipped on both lanes; every vertex still shows up through
-    one of its full-rank bases.  Solutions that agree to 9 decimals are one
-    vertex, kept as its first unrounded solution, in rounded sorted order.
+    subsets are skipped; every vertex still shows up through one of its
+    full-rank bases.  Solutions that agree to 9 decimals are one vertex,
+    kept as its first unrounded solution, in rounded sorted order.
     Raises DimensionCapExceeded for a class past a cap.
     """
     if cs.too_big or cs.dim > VERTEX_DIM_CAP:
@@ -74,7 +73,7 @@ def enumerate_class_vertices(cs: ClassSystem, lane: Optional[str] = None
             f"{comb(d, r)} support subsets for class {cs.label}")
     combos = np.array(list(itertools.combinations(range(d), r)),
                       dtype=np.int64)
-    ys, ok = solve_supports(a, b, combos, lane=lane)
+    ys, ok = solve_supports(a, b, combos)
     xs = np.zeros((combos.shape[0], d))
     np.put_along_axis(xs, combos, ys, axis=1)
     keep = ok.copy()

@@ -140,7 +140,7 @@ def _chunks(ws: WorldSpace):
 
 
 def world_probs(targets: list[Atom], mus: list[list[np.ndarray]],
-                ws: WorldSpace, lane: Optional[str] = None) -> np.ndarray:
+                ws: WorldSpace) -> np.ndarray:
     """P(target) for each sampled distribution; shape (len(mus), len(targets)).
 
     The deterministic skeleton is evaluated once per world and reweighted
@@ -154,23 +154,21 @@ def world_probs(targets: list[Atom], mus: list[list[np.ndarray]],
     for ids in _chunks(ws):
         val = fixpoint_table(ids, len(ws.graph.nodes), e["input_bit"],
                              e["head"], e["ev_bit"], e["body_off"],
-                             e["body_node"], e["body_sign"], e["strat_off"],
-                             lane=lane)
+                             e["body_node"], e["body_sign"], e["strat_off"])
         sel = val[:, cols].astype(np.float64)
         for mi, flat in enumerate(flats):
             w = world_weights(ids, ws.cls_off, ws.cls_bits, ws.dist_off,
-                              flat, ws.ev_prob, ws.n_fact_bits, lane=lane)
+                              flat, ws.ev_prob, ws.n_fact_bits)
             out[mi] += w @ sel
     return out
 
 
-def world_prob(target: Atom, mu: list[np.ndarray], ws: WorldSpace,
-               lane: Optional[str] = None) -> float:
-    return float(world_probs([target], [mu], ws, lane=lane)[0, 0])
+def world_prob(target: Atom, mu: list[np.ndarray], ws: WorldSpace) -> float:
+    return float(world_probs([target], [mu], ws)[0, 0])
 
 
 def pair_probs(a: Atom, b: Atom, mus: list[list[np.ndarray]],
-               ws: WorldSpace, lane: Optional[str] = None) -> np.ndarray:
+               ws: WorldSpace) -> np.ndarray:
     """Columns P(a), P(b), P(a and b) per distribution; shape (len(mus), 3)."""
     ia, ib = ws.node_index[a], ws.node_index[b]
     flats = [np.concatenate([np.asarray(d, dtype=np.float64) for d in mu])
@@ -180,13 +178,12 @@ def pair_probs(a: Atom, b: Atom, mus: list[list[np.ndarray]],
     for ids in _chunks(ws):
         val = fixpoint_table(ids, len(ws.graph.nodes), e["input_bit"],
                              e["head"], e["ev_bit"], e["body_off"],
-                             e["body_node"], e["body_sign"], e["strat_off"],
-                             lane=lane)
+                             e["body_node"], e["body_sign"], e["strat_off"])
         sel = np.stack([val[:, ia], val[:, ib],
                         val[:, ia] & val[:, ib]], axis=1).astype(np.float64)
         for mi, flat in enumerate(flats):
             w = world_weights(ids, ws.cls_off, ws.cls_bits, ws.dist_off,
-                              flat, ws.ev_prob, ws.n_fact_bits, lane=lane)
+                              flat, ws.ev_prob, ws.n_fact_bits)
             out[mi] += w @ sel
     return out
 

@@ -141,6 +141,25 @@ def _exact_range(env: CorrEnv, out: Atom) -> tuple[float, float]:
     return res.lo, res.hi
 
 
+def exact_or_approx(env: CorrEnv, out: Atom,
+                    approx_map: Callable[[], dict], mode: str
+                    ) -> tuple[tuple[float, float], Optional[str]]:
+    """One output's exact range, or its approximate interval out of reach.
+
+    Returns the range and, when it is the approximate interval, the cap's
+    message as the reason (None for an exact range).  approx_map is called
+    only on that fallback, so a caller can run the approx pass lazily; mode
+    names the bounds in the logged warning.
+    """
+    try:
+        return _exact_range(env, out), None
+    except DimensionCapExceeded as exc:
+        log.warning("%s bounds for %s unavailable (%s), "
+                    "reporting approximate interval", mode, out, exc)
+        iv = approx_map()[out]
+        return (iv.lo, iv.hi), str(exc)
+
+
 class SatChecker:
     """Window satisfiability for one output, read off one cached range.
 
@@ -156,16 +175,9 @@ class SatChecker:
 
     def __init__(self, env: CorrEnv, out: Atom, approx_map: dict):
         self.iv = approx_map[out]
-        self.flags = set()
-        self.reason = None
-        try:
-            self.range = _exact_range(env, out)
-        except DimensionCapExceeded as exc:
-            log.warning("delta bounds for %s unavailable (%s), "
-                        "reporting approximate interval", out, exc)
-            self.flags.add("soundness_only")
-            self.reason = str(exc)
-            self.range = (self.iv.lo, self.iv.hi)
+        self.range, self.reason = exact_or_approx(
+            env, out, lambda: approx_map, "delta")
+        self.flags = set() if self.reason is None else {"soundness_only"}
 
     def sat(self, wl: float, wu: float) -> bool:
         return _overlap(wl, wu, *self.range)

@@ -3,6 +3,7 @@
 perfbench/spans.py wraps each (module, attribute) in its BOUNDARIES list,
 plus SatChecker.sat and cli.solve_standard, by looking the name up; a
 missing one makes the traced benchmark run fail before it starts.
+perfbench/run.py imports the kernel lane names for its environment report.
 """
 
 import importlib
@@ -31,3 +32,9 @@ def test_sat_checker_and_grounder_resolve():
     cli = importlib.import_module("praline.cli")
     assert callable(refine.SatChecker.sat)
     assert callable(cli.solve_standard)
+
+
+def test_kernel_lane_names_resolve():
+    kernels = importlib.import_module("praline.kernels")
+    assert kernels.HAS_NUMBA is False
+    assert kernels.active_lane() == "numpy"

@@ -301,6 +301,16 @@ class TestOracleCommand:
         assert "path(1,7): exact [0.344448, 0.412992]" in out
         assert "sampled mu in [" in out
 
+    def test_oracle_past_the_vertex_caps_still_samples(self, tmp_path,
+                                                        capsys):
+        f = tmp_path / "big.pl"
+        f.write_text(BIG + "0.9::f1|f0.\nq :- f0, f1.\nquery(q).\n")
+        code = run(["oracle", str(f), "--samples", "20"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "q: exact unavailable (class V defeats vertex enumeration), "
+            "20 sampled mu in [0.45, 0.45]\n")
+
     def test_oracle_conflict(self, tmp_path, capsys):
         f = tmp_path / "bad.pl"
         f.write_text(CONFLICT)

@@ -1,13 +1,12 @@
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from praline import parse
 from praline.constraints import gen_constraints
 from praline.grounder import solve_standard
-from praline.kernels import HAS_NUMBA, solve_supports
+from praline.kernels import solve_supports
 from praline.optimizer import enumerate_class_vertices, optimize_exact
 from praline.symexpr import context_from_program, eval_expr, gen_objective
 
@@ -71,22 +70,13 @@ class TestVertexEnumeration:
                          for vert in rational_vertices(rows, rhs)])
         assert_same_rows(verts, want, atol=1e-7)
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_lanes_agree(self, roads):
-        _, _, system = pipeline(roads)
-        for cs in system.classes:
-            a = enumerate_class_vertices(cs, lane="numba")
-            b = enumerate_class_vertices(cs, lane="numpy")
-            assert a.shape == b.shape
-            assert_allclose(a, b, atol=1e-7)
-
 
 class TestSolveSupports:
     def test_known_system(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
         b = np.array([1.0, 0.7])
         combos = np.array([[0, 1]])
-        ys, ok = solve_supports(a, b, combos, lane="numpy")
+        ys, ok = solve_supports(a, b, combos)
         assert ok[0]
         assert_allclose(ys[0], [0.3, 0.7], atol=1e-12)
 
@@ -94,10 +84,9 @@ class TestSolveSupports:
         a = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])
         b = np.array([1.0, 1.0])
         combos = np.array([[0, 1], [0, 2]])
-        for lane in ["numpy"] + (["numba"] if HAS_NUMBA else []):
-            ys, ok = solve_supports(a, b, combos, lane=lane)
-            assert not ok[0]
-            assert ok[1]
+        ys, ok = solve_supports(a, b, combos)
+        assert not ok[0]
+        assert ok[1]
 
 
 class TestExactOptimization:

@@ -6,7 +6,6 @@ from praline import parse
 from praline.constraints import gen_constraints
 from praline.frontend import InfeasibleError, ScaleError
 from praline.grounder import break_cycles, solve_standard
-from praline.kernels import HAS_NUMBA
 from praline.oracle import (
     build_world_space,
     exact_interval_oracle,
@@ -136,16 +135,6 @@ class TestWorldProb:
             a = world_prob(node(graph, name), mu, ws1)
             b = world_prob(node(work, name), mu, ws2)
             assert_allclose(a, b, atol=1e-12)
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_lanes_agree(self, sixpack, rng):
-        graph, _, _, system = setup(sixpack)
-        ws = build_world_space(sixpack, graph)
-        mus = sample_feasible_mu(system, rng, 5)
-        targets = [node(graph, n) for n in ["a", "b", "c", "d", "e"]]
-        a = world_probs(targets, mus, ws, lane="numba")
-        b = world_probs(targets, mus, ws, lane="numpy")
-        assert_allclose(a, b, atol=1e-12)
 
 
 class TestExactIntervalOracle:
