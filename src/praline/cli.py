@@ -86,10 +86,14 @@ class BoundsReport:
 
 
 def _pipeline(program):
+    """Ground, unfold and constrain a program; raises InfeasibleError on
+    conflicting declarations."""
     graph = solve_standard(program)
     work = graph if graph.acyclic else break_cycles(graph)
     ctx = context_from_program(program, work)
     system = gen_constraints(program, ctx)
+    if not check_feasible(system):
+        raise InfeasibleError("No solution")
     return work, ctx, system, build_env(program, work, ctx, system)
 
 
@@ -119,8 +123,6 @@ def solve_program(program, mode="delta", delta=0.01,
     """Bounds for every queried fact; raises InfeasibleError on conflict."""
     t0 = time.perf_counter()
     work, ctx, system, env = _pipeline(program)
-    if not check_feasible(system):
-        raise InfeasibleError("No solution")
     outputs, absent = _select_outputs(program, work, queries)
     facts = []
     if mode == "exact":
@@ -168,8 +170,6 @@ def _dump(args, program):
     grounds the program twice.  An infeasible program dumps nothing.
     """
     work, ctx, system, env = _pipeline(program)
-    if not check_feasible(system):
-        raise InfeasibleError("No solution")
     if args.dump_graph:
         print("derivation graph:")
         for e in work.edges:
@@ -223,8 +223,6 @@ def _cmd_solve(args, program) -> int:
 
 def _cmd_oracle(args, program) -> int:
     work, ctx, system, env = _pipeline(program)
-    if not check_feasible(system):
-        raise InfeasibleError("No solution")
     outputs, absent = _select_outputs(program, work, args.query)
     rng = np.random.default_rng(args.seed)
     sampled = None
@@ -234,7 +232,7 @@ def _cmd_oracle(args, program) -> int:
         sampled = world_probs(outputs, mus, ws)
     for j, out in enumerate(outputs):
         try:
-            lo, hi = exact_interval_oracle(out, program, system)
+            lo, hi = exact_interval_oracle(out, env)
             exact = f"exact [{lo:.6g}, {hi:.6g}]"
         except DimensionCapExceeded as exc:
             exact = f"exact unavailable ({exc})"

@@ -104,9 +104,6 @@ class DerivationGraph:
     def derived_nodes(self) -> list[Atom]:
         return [n for n in self.nodes if n in self.in_edges]
 
-    def event_count(self) -> int:
-        return len(self.event_var)
-
     def topo_order(self) -> list[Atom]:
         """Topological order of the acyclic graph, inputs first.
 
@@ -135,16 +132,6 @@ class DerivationGraph:
             raise PralineError("graph is cyclic; run break_cycles first")
         self._topo = order
         return order
-
-    def describe(self) -> str:
-        lines = [f"nodes: {len(self.nodes)}, hyperedges: {len(self.edges)}, "
-                 f"events: {len(self.event_var)}, acyclic: {self.acyclic}"]
-        for e in self.edges:
-            parts = [str(a) for a in e.pos] + [f"\\+{a}" for a in e.neg]
-            rid = self.event_var.get(e.rule_id)
-            tag = f" [r{rid}={e.prob:g}]" if rid else (f" [p={e.prob:g}]" if e.prob != 1 else "")
-            lines.append(f"  {e.head} <- {', '.join(parts) if parts else 'true'}{tag}")
-        return "\n".join(lines)
 
 
 def _match(pattern: Atom, ground: Atom, subst: dict[str, Term]) -> Optional[dict[str, Term]]:
@@ -557,15 +544,3 @@ def depends(g: DerivationGraph) -> tuple[dict[Atom, frozenset[Atom]], dict[Atom,
         dep_neg[n] = m
     return ({n: frozenset(s) for n, s in dep_pos.items()},
             {n: frozenset(s) for n, s in dep_neg.items()})
-
-
-def polarity(dep_pos, dep_neg, node: Atom, fact: Atom) -> str:
-    inp = fact in dep_pos.get(node, ())
-    inn = fact in dep_neg.get(node, ())
-    if inp and inn:
-        return "both"
-    if inp:
-        return "pos"
-    if inn:
-        return "neg"
-    return "none"

@@ -84,11 +84,11 @@ def enumerate_class_vertices(cs: ClassSystem) -> np.ndarray:
 
 
 def _dense_template(expr: ProbExpr, var_prob: dict[int, float]) -> np.ndarray:
+    """The objective's value at every class assignment of its support."""
     dims = tuple(1 << expr.ctx.classes[c].size for c in expr.support)
     t = np.zeros(dims if dims else (1,))
-    for psi, lam in expr.terms.items():
-        idx = psi if psi else (0,)
-        t[idx] = coeff_eval(lam, var_prob)
+    for cell, lam in expr.terms.items():
+        t[np.ix_(*expr.indices(cell))] = coeff_eval(lam, var_prob)
     return t
 
 

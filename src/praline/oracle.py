@@ -10,20 +10,16 @@ against.  Not on the production inference path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from praline.constraints import (
-    ConstraintSystem,
-    check_feasible,
-    gen_constraints,
-)
+from praline.constraints import ConstraintSystem
+from praline.corrtypes import CorrEnv
 from praline.frontend import Atom, InfeasibleError, Program, ScaleError
-from praline.grounder import DerivationGraph, break_cycles, solve_standard
+from praline.grounder import DerivationGraph
 from praline.kernels import fixpoint_table, world_weights
 from praline.optimizer import optimize_exact
-from praline.symexpr import context_from_program, gen_objective
+from praline.symexpr import gen_objective
 
 MAX_WORLD_BITS = 24
 CHUNK_BITS = 16
@@ -217,20 +213,14 @@ def sample_feasible_mu(system: ConstraintSystem, rng: np.random.Generator,
     return mus
 
 
-def exact_interval_oracle(output: Atom, program: Program,
-                          system: Optional[ConstraintSystem] = None
-                          ) -> tuple[float, float]:
-    """Exact probability bounds for one output via full vertex search."""
-    graph = solve_standard(program)
-    if not graph.acyclic:
-        graph = break_cycles(graph)
-    ctx = context_from_program(program, graph)
-    if system is None:
-        system = gen_constraints(program, ctx)
-    if not check_feasible(system):
-        raise InfeasibleError("No solution")
-    if output not in graph.nodes:
+def exact_interval_oracle(output: Atom, env: CorrEnv) -> tuple[float, float]:
+    """Exact probability bounds for one output via full vertex search.
+
+    env is a feasible program's pipeline (`cli._pipeline`), grounded and
+    unfolded once for all its outputs.
+    """
+    if output not in env.graph.nodes:
         return 0.0, 0.0  # underivable: false in every world
-    obj = gen_objective(graph, ctx, output)
-    res = optimize_exact(obj, system)
+    obj = gen_objective(env.graph, env.ctx, output)
+    res = optimize_exact(obj, env.system)
     return res.lo, res.hi

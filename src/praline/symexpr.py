@@ -1,10 +1,13 @@
 """Symbolic probability expressions over joint class variables and rule events.
 
-A probability expression is a sum of terms  lambda * psi  where psi selects
-one joint assignment variable V_C[b] per correlation class (classes the
-expression does not depend on are summed out, which the simplex constraint
-makes exact) and lambda is a signed sum of monomials over rule event
-variables r_i and their complements (1 - r_i).
+A probability expression is a sum of terms  lambda * psi.  psi is a cell:
+one (mask, value) pair per correlation class of the support, holding the
+assignments b with b & mask == value, so a term fixes only the bits its
+derivations read; classes outside the support are summed out, which the
+simplex constraint makes exact.  The cells of an expression are pairwise
+disjoint, so each assignment takes the lambda of the one cell holding it,
+or 0.  lambda is a signed sum of monomials over rule event variables r_i
+and their complements (1 - r_i).
 
 The algebra keeps everything canonical and exact:
 
@@ -12,13 +15,23 @@ The algebra keeps everything canonical and exact:
     prod r_v for v in P times prod (1 - r_v) for v in N;
   - the joint of two monomials is their union, or 0 when some variable is
     required both fired and unfired (the derivations are incompatible);
-  - mul joins the two operands' terms on the classes they share: each
-    pair of terms that agree there multiplies its lambdas (the events of
-    independent subderivations) under the psi that merges both
-    coordinates, so a class one operand lacks is never enumerated;
-  - add is inclusion-exclusion  a + b - joint(a, b)  per psi, over the
-    union template, and neg is 1 - lambda rewritten into complement form,
-    dense over its support.
+  - an input fact is one cell; mul intersects every pair of cells and
+    joins their lambdas (the events of independent subderivations);
+  - add and neg take the common refinement of two cell sets: where both
+    have a cell, add is inclusion-exclusion  a + b - joint(a, b)  and neg,
+    the refinement against the constant 1, is 1 - lambda in complement
+    form; a cell only one operand covers keeps its lambda.
+
+A lambda goes through the operations a per-assignment algebra applies to
+each assignment of its cell, in the same order, so expanded cells give
+that algebra's coefficients monomial for monomial, and printed expressions
+do not depend on how the cells fall.
+
+Building is linear in the cells, not in the dense template.  Assignments
+are spelled out only where they are read, in the optimizer's template,
+eval_expr and expr_str, through one cached index per class and cell.  The
+one cap, MAX_TEMPLATE, is a check per node in gen_objective on that
+template's size.
 
 Theorem-level: for expressions of two facts A and B, mul yields the
 expression of P(A and B) and add the one of P(A or B), checked numerically
@@ -27,21 +40,21 @@ against world enumeration in the test suite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from praline.frontend import Atom, DimensionCapExceeded, Program
+from praline.frontend import Atom, DimensionCapExceeded, Program, format_bits
 from praline.grounder import DerivationGraph, GroundRuleId
 
-# largest psi template over the union of two supports.  add and neg fill it
-# densely; mul fills nothing but applies the same cap when the supports
-# differ, which bounds the terms of a product and keeps one rule for which
-# expressions are out of reach
+# largest template (full class assignments over the support) a node's
+# expression may have: the assignments the readers of its cells would fill
 MAX_TEMPLATE = 2 ** 20
 
+Cell = tuple[tuple[int, int], ...]  # (mask, value) per class of the support
 Mono = tuple[frozenset, frozenset]
 Coeff = dict[Mono, int]
 
@@ -181,13 +194,27 @@ def context_from_program(program: Program, graph: DerivationGraph) -> ExprContex
     return ExprContext(classes, dict(program.fact_class), dict(graph.event_var), var_prob)
 
 
+@functools.cache
+def cell_index(size: int, mask: int, value: int) -> np.ndarray:
+    """The assignments of a size-member class in one cell, ascending."""
+    b = np.arange(1 << size)
+    idx = b[b & mask == value]
+    idx.flags.writeable = False  # shared by every reader of the cache
+    return idx
+
+
 @dataclass
 class ProbExpr:
-    """Sparse sum of lambda * psi terms over a fixed class support."""
+    """Sum of lambda * psi terms over disjoint cells of a fixed class support."""
 
     ctx: ExprContext
     support: tuple[int, ...]  # class positions, ascending
-    terms: dict[tuple[int, ...], Coeff] = field(default_factory=dict)
+    terms: dict[Cell, Coeff] = field(default_factory=dict)
+
+    def indices(self, cell: Cell) -> list[np.ndarray]:
+        """The cell's assignments, one index array per class of the support."""
+        return [cell_index(self.ctx.classes[c].size, m, v)
+                for c, (m, v) in zip(self.support, cell)]
 
 
 def expr_const(ctx: ExprContext, value: int) -> ProbExpr:
@@ -196,123 +223,92 @@ def expr_const(ctx: ExprContext, value: int) -> ProbExpr:
 
 
 def expr_of_input(ctx: ExprContext, fact: Atom) -> ProbExpr:
-    """Coefficient 1 on every class assignment where the fact's bit is set."""
+    """Coefficient 1 on the one cell where the fact's bit is set."""
     cpos, bit = ctx.fact_bit[fact]
-    size = ctx.classes[cpos].size
-    terms = {(b,): coeff_one() for b in range(1 << size) if b >> bit & 1}
-    return ProbExpr(ctx, (cpos,), terms)
+    return ProbExpr(ctx, (cpos,), {((1 << bit, 1 << bit),): coeff_one()})
 
 
-def _lift(e: ProbExpr, support: tuple[int, ...]) -> ProbExpr:
-    """e over a wider support: each term repeated for every assignment of
-    the classes e lacks.  Only add needs it."""
-    if e.support == support:
-        return e
-    ctx = e.ctx
-    if ctx.template_size(support) > MAX_TEMPLATE:
-        raise DimensionCapExceeded(
-            f"expression template over classes {support} exceeds {MAX_TEMPLATE} terms")
-    pos_of = {c: i for i, c in enumerate(e.support)}
-    extra = [c for c in support if c not in pos_of]
-    ranges = [range(1 << ctx.classes[c].size) for c in extra]
-    terms: dict[tuple[int, ...], Coeff] = {}
-    for psi, lam in e.terms.items():
-        for fills in itertools.product(*ranges):
-            fill_iter = iter(fills)
-            new_psi = tuple(psi[pos_of[c]] if c in pos_of else next(fill_iter)
-                            for c in support)
-            terms[new_psi] = lam
-    return ProbExpr(ctx, support, terms)
+def _meet(c: Cell, d: Cell) -> Optional[Cell]:
+    """The intersection of two cells over one support, None if empty."""
+    out = []
+    for (m1, v1), (m2, v2) in zip(c, d):
+        if (v1 ^ v2) & m1 & m2:
+            return None
+        out.append((m1 | m2, v1 | v2))
+    return tuple(out)
 
 
-def _union_support(a: ProbExpr, b: ProbExpr) -> tuple[int, ...]:
-    return tuple(sorted(set(a.support) | set(b.support)))
+def _minus(c: Cell, d: Cell) -> list[Cell]:
+    """c without d, as disjoint cells: one per bit that d fixes and c leaves
+    free, holding the assignments of c that first disagree with d there."""
+    if _meet(c, d) is None:
+        return [c]
+    out, cur = [], list(c)
+    for k, (m2, v2) in enumerate(d):
+        free = m2 & ~cur[k][0]
+        while free:
+            bit = free & -free
+            free ^= bit
+            m, v = cur[k]
+            out.append((*cur[:k], (m | bit, v | (bit & ~v2)), *cur[k + 1:]))
+            cur[k] = (m | bit, v | (bit & v2))
+    return out
+
+
+def _widen(e: ProbExpr, support: tuple[int, ...]) -> list[tuple[Cell, Coeff]]:
+    """e's terms with cells over a wider support, free on the classes e lacks."""
+    pos = {c: i for i, c in enumerate(e.support)}
+    return [(tuple(cell[pos[c]] if c in pos else (0, 0) for c in support), lam)
+            for cell, lam in e.terms.items()]
+
+
+def _refine(a: ProbExpr, b: ProbExpr, both, alone: bool) -> ProbExpr:
+    """Each intersection of a cell of a and one of b, with lambda
+    both(lambda_a, lambda_b); with alone, also the rest of each operand's
+    cells with its own lambda: the common refinement.  Drops empty lambdas."""
+    support = tuple(sorted(set(a.support) | set(b.support)))
+    cells_a, cells_b = _widen(a, support), _widen(b, support)
+    terms: dict[Cell, Coeff] = {}
+    for c, la in cells_a:
+        for d, lb in cells_b:
+            m = _meet(c, d)
+            if m is not None and (lam := both(la, lb)):
+                terms[m] = lam
+    if alone:
+        for cells, others in ((cells_a, cells_b), (cells_b, cells_a)):
+            for c, lam in cells:
+                rest = [c]
+                for d, _ in others:
+                    rest = [p for r in rest for p in _minus(r, d)]
+                terms.update((p, lam) for p in rest)
+    return ProbExpr(a.ctx, support, terms)
 
 
 def mul(a: ProbExpr, b: ProbExpr) -> ProbExpr:
-    """Expression of the conjunction of two facts' derivations.
-
-    A sparse join on the classes both operands depend on: each term of a
-    pairs only with the terms of b that agree with it there, and the
-    product's psi takes every other coordinate from the operand that has
-    it, so no class is ever filled in.  Terms come in a's insertion order,
-    then in ascending order of b's coordinates on the classes only b has,
-    the order a dense pairing over the union template would give.
-    """
-    support = _union_support(a, b)
-    if a.support != b.support and a.ctx.template_size(support) > MAX_TEMPLATE:
-        raise DimensionCapExceeded(
-            f"expression template over classes {support} exceeds {MAX_TEMPLATE} terms")
-    a_pos = {c: i for i, c in enumerate(a.support)}
-    shared = [i for i, c in enumerate(b.support) if c in a_pos]
-    a_shared = [a_pos[b.support[i]] for i in shared]
-    b_only = [i for i, c in enumerate(b.support) if c not in a_pos]
-    # (operand, position) each coordinate of the product's psi is read from
-    take = [(0, a_pos[c]) if c in a_pos else (1, b.support.index(c))
-            for c in support]
-    terms: dict[tuple[int, ...], Coeff] = {}
-    index: dict[tuple[int, ...], list] = {}
-    for psi, lam in b.terms.items():
-        key = tuple(psi[i] for i in shared)
-        index.setdefault(key, []).append((tuple(psi[i] for i in b_only), psi, lam))
-    for bucket in index.values():
-        bucket.sort(key=lambda t: t[0])
-    for psi, lam in a.terms.items():
-        for _, bpsi, lam2 in index.get(tuple(psi[i] for i in a_shared), ()):
-            j = coeff_joint(lam, lam2)
-            if j:
-                pair = (psi, bpsi)
-                terms[tuple(pair[o][i] for o, i in take)] = j
-    return ProbExpr(a.ctx, support, terms)
+    """Expression of the conjunction: joint lambdas on cell intersections."""
+    return _refine(a, b, coeff_joint, alone=False)
 
 
 def add(a: ProbExpr, b: ProbExpr) -> ProbExpr:
-    """Expression of the disjunction: a + b - joint(a, b) per psi."""
-    support = _union_support(a, b)
-    a = _lift(a, support)
-    b = _lift(b, support)
-    terms: dict[tuple[int, ...], Coeff] = {}
-    for psi, lam in a.terms.items():
-        terms[psi] = dict(lam)
-    for psi, lam in b.terms.items():
-        cur = terms.get(psi)
-        if cur is None:
-            terms[psi] = dict(lam)
-        else:
-            s = coeff_add(cur, lam)
-            j = coeff_joint(cur, lam)
-            s = coeff_add(s, coeff_scale(j, -1))
-            if s:
-                terms[psi] = s
-            else:
-                del terms[psi]
-    return ProbExpr(a.ctx, support, terms)
+    """Expression of the disjunction: a + b - joint(a, b) per cell."""
+    return _refine(a, b, lambda la, lb: coeff_add(
+        coeff_add(la, lb), coeff_scale(coeff_joint(la, lb), -1)), alone=True)
 
 
 def neg(e: ProbExpr) -> ProbExpr:
-    """Expression of 1 minus the operand, dense over its support template."""
-    ctx = e.ctx
-    if ctx.template_size(e.support) > MAX_TEMPLATE:
-        raise DimensionCapExceeded(
-            f"negation over classes {e.support} exceeds {MAX_TEMPLATE} terms")
-    ranges = [range(1 << ctx.classes[c].size) for c in e.support]
-    terms: dict[tuple[int, ...], Coeff] = {}
-    for psi in itertools.product(*ranges):
-        lam = e.terms.get(psi)
-        out = coeff_neg(lam) if lam else coeff_one()
-        if out:
-            terms[psi] = out
-    return ProbExpr(ctx, e.support, terms)
+    """Expression of 1 minus the operand, 1 where it has no cell."""
+    return _refine(e, expr_const(e.ctx, 1),
+                   lambda lam, one: coeff_neg(lam), alone=True)
 
 
 def scale_event(e: ProbExpr, var: int) -> ProbExpr:
     """Multiply by one rule event variable."""
     mono: Coeff = {(frozenset((var,)), frozenset()): 1}
     terms = {}
-    for psi, lam in e.terms.items():
+    for cell, lam in e.terms.items():
         j = coeff_joint(lam, mono)
         if j:
-            terms[psi] = j
+            terms[cell] = j
     return ProbExpr(e.ctx, e.support, terms)
 
 
@@ -323,7 +319,8 @@ def gen_objective(graph: DerivationGraph, ctx: ExprContext, node: Atom,
     Leaves are the input facts known to the context.  A derived node is the
     fold of its hyperedges: each edge contributes its event variable times
     the product of its positive bodies' expressions and the negations of its
-    negative bodies', and edges combine by inclusion-exclusion.
+    negative bodies', and edges combine by inclusion-exclusion.  A node
+    whose template exceeds MAX_TEMPLATE raises DimensionCapExceeded.
     """
     if memo is None:
         memo = {}
@@ -351,7 +348,12 @@ def gen_objective(graph: DerivationGraph, ctx: ExprContext, node: Atom,
     for n in order:
         if n in memo:
             continue
-        memo[n] = _node_expr(graph, ctx, n, memo)
+        e = _node_expr(graph, ctx, n, memo)
+        if ctx.template_size(e.support) > MAX_TEMPLATE:
+            raise DimensionCapExceeded(
+                f"expression template over classes {e.support} exceeds "
+                f"{MAX_TEMPLATE} terms")
+        memo[n] = e
     return memo[node]
 
 
@@ -405,43 +407,39 @@ def eval_expr(e: ProbExpr, dists: list[np.ndarray],
     if probs is None:
         probs = e.ctx.var_prob
     total = 0.0
-    for psi, lam in e.terms.items():
+    for cell, lam in e.terms.items():
         w = coeff_eval(lam, probs)
-        for c, b in zip(e.support, psi):
-            w *= float(dists[c][b])
+        for c, idx in zip(e.support, e.indices(cell)):
+            w *= float(dists[c][idx].sum())
         total += w
     return total
 
 
-def _display_psis(ctx: ExprContext, support: tuple[int, ...]):
-    """Template order for printing: class bit 0 is the most significant."""
-    per_class = []
-    for c in support:
-        size = ctx.classes[c].size
-        vals = []
-        for bits in itertools.product((0, 1), repeat=size):
-            vals.append(sum(b << k for k, b in enumerate(bits)))
-        per_class.append(vals)
-    yield from itertools.product(*per_class)
-
-
 def expr_str(e: ProbExpr) -> str:
-    """Canonical rendering, used by the golden tests and --dump-exprs."""
-    from praline.frontend import format_bits
+    """Canonical rendering, used by the golden tests and --dump-exprs.
 
+    Assignments print in template order, class bit 0 most significant; past
+    64 assignments, those no cell holds are left out.
+    """
     ctx = e.ctx
     if not e.support:
         lam = e.terms.get(())
         return coeff_str(lam) if lam else "0"
+    owner: dict[tuple[int, ...], Coeff] = {}  # assignment -> its cell's lambda
+    for cell, lam in e.terms.items():
+        owner.update(dict.fromkeys(
+            itertools.product(*(idx.tolist() for idx in e.indices(cell))), lam))
+    sizes = [ctx.classes[c].size for c in e.support]
+    order = [sorted(range(1 << n), key=lambda b: format_bits(b, n))
+             for n in sizes]
     full = ctx.template_size(e.support) <= 64
     parts = []
-    for psi in _display_psis(ctx, e.support):
-        lam = e.terms.get(psi)
+    for psi in itertools.product(*order):
+        lam = owner.get(psi)
         if lam is None and not full:
             continue
-        sel = "*".join(
-            f"{ctx.classes[c].label}[{format_bits(b, ctx.classes[c].size)}]"
-            for c, b in zip(e.support, psi))
+        sel = "*".join(f"{ctx.classes[c].label}[{format_bits(b, n)}]"
+                       for c, n, b in zip(e.support, sizes, psi))
         if lam is None:
             parts.append(f"0*{sel}")
             continue

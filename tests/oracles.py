@@ -1,9 +1,17 @@
 """Exact rational reference implementations used only by the test suite."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
+
+from praline.symexpr import (
+    coeff_add,
+    coeff_joint,
+    coeff_neg,
+    coeff_one,
+    coeff_scale,
+)
 
 
 def _reduce(mat, width):
@@ -93,3 +101,84 @@ def assert_same_rows(got, want, atol):
     dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
     assert dist.min(axis=1).max() <= atol
     assert dist.min(axis=0).max() <= atol
+
+
+# -- the per-assignment expression algebra ----------------------------------
+#
+# symexpr keys terms by cells; the reference below keys them by full class
+# assignments, as a dense template does, and returns (support, terms) with
+# terms mapping each assignment tuple to its coefficient.
+
+
+def dense_terms(e):
+    """A cell expression spelled out: assignment tuple -> coefficient."""
+    out = {}
+    for cell, lam in e.terms.items():
+        for psi in product(*(idx.tolist() for idx in e.indices(cell))):
+            out[psi] = lam
+    return out
+
+
+def _dense_lift(e, support):
+    """e's assignments over a wider support: each repeated for every
+    assignment of the classes e lacks."""
+    pos_of = {c: i for i, c in enumerate(e.support)}
+    ranges = [range(1 << e.ctx.classes[c].size)
+              for c in support if c not in pos_of]
+    terms = {}
+    for psi, lam in dense_terms(e).items():
+        for fills in product(*ranges):
+            fill_iter = iter(fills)
+            terms[tuple(psi[pos_of[c]] if c in pos_of else next(fill_iter)
+                        for c in support)] = lam
+    return terms
+
+
+def _union(a, b):
+    return tuple(sorted(set(a.support) | set(b.support)))
+
+
+def dense_mul(a, b):
+    """The conjunction per assignment: the joint of both coefficients."""
+    support = _union(a, b)
+    ta, tb = _dense_lift(a, support), _dense_lift(b, support)
+    terms = {}
+    for psi, lam in ta.items():
+        lam2 = tb.get(psi)
+        if lam2 is None:
+            continue
+        j = coeff_joint(lam, lam2)
+        if j:
+            terms[psi] = j
+    return support, terms
+
+
+def dense_add(a, b):
+    """The disjunction per assignment: a + b - joint(a, b) where both are."""
+    support = _union(a, b)
+    terms = _dense_lift(a, support)
+    for psi, lam in _dense_lift(b, support).items():
+        cur = terms.get(psi)
+        if cur is None:
+            terms[psi] = lam
+            continue
+        s = coeff_add(coeff_add(cur, lam),
+                      coeff_scale(coeff_joint(cur, lam), -1))
+        if s:
+            terms[psi] = s
+        else:
+            del terms[psi]
+    return support, terms
+
+
+def dense_neg(e):
+    """1 minus e on every assignment of its support's template."""
+    terms = {}
+    lams = dense_terms(e)
+    ranges = [range(1 << e.ctx.classes[c].size) for c in e.support]
+    for psi in product(*ranges):
+        lam = lams.get(psi)
+        out = coeff_neg(lam) if lam else coeff_one()
+        if out:
+            terms[psi] = out
+    return e.support, terms

@@ -355,6 +355,19 @@ def test_criterion_9_scale_smoke():
     print(f"criterion 9 (5000-node scale smoke, {elapsed:.1f}s): PASS")
 
 
+def test_scale_objective_is_one_cell():
+    # every derivation of the query is a conjunction of the same input
+    # bits, so its objective is one cell, not one term per assignment
+    program = parse(_layered_source())
+    graph = solve_standard(program)
+    ctx = context_from_program(program, graph)
+    t0 = time.perf_counter()
+    obj = gen_objective(graph, ctx, program.queries[0])
+    elapsed = time.perf_counter() - t0
+    assert len(obj.terms) == 1
+    assert elapsed < 1.0
+
+
 def test_semi_naive_rounds_visit_only_watching_rules(monkeypatch):
     # each of the 25 rounds derives one layer, so a round that visited every
     # rule would make about 26 visits per rule

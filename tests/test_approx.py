@@ -118,7 +118,7 @@ class TestSoundness:
         env = env_for(roads)
         iv = by_name(approx_bounds(env), "path(1,7)")
         lo, hi = exact_interval_oracle(
-            [n for n in env.graph.nodes if str(n) == "path(1,7)"][0], roads)
+            [n for n in env.graph.nodes if str(n) == "path(1,7)"][0], env)
         assert iv.lo <= lo + 1e-12
         assert hi <= iv.hi + 1e-12
 

@@ -271,6 +271,25 @@ class TestDumps:
         out = capsys.readouterr().out
         assert "path(1,7) =" in out
 
+    def test_dump_exprs_past_the_template_cap(self, tmp_path, capsys,
+                                              monkeypatch):
+        # a 12-member class has 4096 assignments, past a cap of 2^10: an
+        # input fact's own expression is capped like a derived node's
+        import praline.symexpr as symexpr
+        members = [f"f{i}" for i in range(12)]
+        f = tmp_path / "wide.pl"
+        f.write_text("".join(f"0.5::{m}.\n" for m in members) +
+                     f"corr({','.join(members)}).\n"
+                     "q :- f0.\nquery(f0).\nquery(q).\n")
+        assert run(["solve", str(f)]) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setattr(symexpr, "MAX_TEMPLATE", 2 ** 10)
+        assert run(["solve", str(f), "--dump-exprs"]) == 0
+        assert capsys.readouterr().out == (
+            "probability expressions:\n"
+            "  f0 = (expression template too large)\n"
+            "  q = (expression template too large)\n" + plain)
+
     def test_dump_correlations(self, roads_file, capsys):
         run(["solve", roads_file, "--dump-correlations", "--mode", "approx"])
         out = capsys.readouterr().out

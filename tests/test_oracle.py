@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from praline import parse
+from praline.cli import _pipeline
 from praline.constraints import gen_constraints
 from praline.frontend import InfeasibleError, ScaleError
 from praline.grounder import break_cycles, solve_standard
@@ -15,7 +16,7 @@ from praline.oracle import (
 )
 from praline.symexpr import context_from_program, eval_expr, gen_objective
 
-from conftest import CONFLICT, ROADS_EXACT, SIXPACK_E
+from conftest import CONFLICT, ROADS, ROADS_EXACT, SIXPACK_E
 
 
 def node(graph, name):
@@ -139,29 +140,51 @@ class TestWorldProb:
 
 class TestExactIntervalOracle:
     def test_roads(self, roads):
-        target = node(solve_standard(roads), "path(1,7)")
-        assert_allclose(exact_interval_oracle(target, roads), ROADS_EXACT,
+        env = _pipeline(roads)[3]
+        target = node(env.graph, "path(1,7)")
+        assert_allclose(exact_interval_oracle(target, env), ROADS_EXACT,
                         atol=1e-9)
 
     def test_point_program(self, sixpack):
-        target = node(solve_standard(sixpack), "e")
-        lo, hi = exact_interval_oracle(target, sixpack)
+        env = _pipeline(sixpack)[3]
+        lo, hi = exact_interval_oracle(node(env.graph, "e"), env)
         assert_allclose([lo, hi], [SIXPACK_E, SIXPACK_E], atol=1e-9)
 
     def test_underivable_is_zero(self, roads):
         from praline.frontend import Atom
 
-        lo, hi = exact_interval_oracle(Atom("path", (7, 1)), roads)
+        lo, hi = exact_interval_oracle(Atom("path", (7, 1)),
+                                       _pipeline(roads)[3])
         assert (lo, hi) == (0.0, 0.0)
 
     def test_conflict_raises(self):
         program = parse(CONFLICT)
         target = node(solve_standard(program), "out")
         with pytest.raises(InfeasibleError):
-            exact_interval_oracle(target, program)
+            exact_interval_oracle(target, _pipeline(program)[3])
 
     def test_input_query_range(self):
         program = parse("0.6 :: b | a.\n0.5 :: a.\n1::h :- a, b.")
-        graph = solve_standard(program)
-        lo, hi = exact_interval_oracle(node(graph, "b"), program)
+        env = _pipeline(program)[3]
+        lo, hi = exact_interval_oracle(node(env.graph, "b"), env)
         assert_allclose([lo, hi], [0.3, 0.8], atol=1e-9)
+
+    def test_oracle_command_grounds_once(self, tmp_path, monkeypatch,
+                                         capsys):
+        import praline.cli as cli
+        import praline.oracle as oracle
+        calls = []
+
+        def counted(program):
+            calls.append(program)
+            return solve_standard(program)
+
+        # wherever a module of the command would look the grounder up; the
+        # oracle module no longer imports it, so that patch only adds a name
+        monkeypatch.setattr(cli, "solve_standard", counted)
+        monkeypatch.setattr(oracle, "solve_standard", counted, raising=False)
+        path = tmp_path / "roads.pl"
+        path.write_text(ROADS)
+        assert cli.run(["oracle", str(path), "--samples", "5"]) == 0
+        assert capsys.readouterr().out.count("exact [") == 3
+        assert len(calls) == 1

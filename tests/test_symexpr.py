@@ -1,4 +1,4 @@
-import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from praline.cli import solve_source
 from praline.frontend import DimensionCapExceeded
 from praline.grounder import break_cycles, solve_standard
 from praline.symexpr import (
-    ProbExpr,
     add,
     coeff_eval,
     coeff_joint,
@@ -24,6 +23,7 @@ from praline.symexpr import (
 )
 
 from conftest import CHAIN, ROADS, ROADS_EXACT, SIXPACK, random_program_source
+from oracles import dense_add, dense_mul, dense_neg, dense_terms
 
 
 def build(src):
@@ -110,8 +110,8 @@ def test_coeff_joint_contradiction():
 def test_input_expr_half_of_template():
     prog, g, ctx = build("0.5::a. 0.5::b. 0.5::c. corr(a,b,c). 1::x :- a.")
     e = expr_of_input(ctx, Atom("b"))
-    assert len(e.terms) == 4
-    assert all(psi[0] >> 1 & 1 for psi in e.terms)
+    assert len(e.terms) == 1
+    assert sorted(dense_terms(e)) == [(2,), (3,), (6,), (7,)]
 
 
 def random_dists(ctx, rng):
@@ -192,41 +192,6 @@ def test_marginalized_support(roads):
     assert e15.support == (1, 3)
 
 
-def _dense_lift(e, support):
-    if e.support == support:
-        return e
-    ctx = e.ctx
-    if ctx.template_size(support) > symexpr.MAX_TEMPLATE:
-        raise DimensionCapExceeded(f"template over {support}")
-    pos_of = {c: i for i, c in enumerate(e.support)}
-    ranges = [range(1 << ctx.classes[c].size)
-              for c in support if c not in pos_of]
-    terms = {}
-    for psi, lam in e.terms.items():
-        for fills in itertools.product(*ranges):
-            fill_iter = iter(fills)
-            new_psi = tuple(psi[pos_of[c]] if c in pos_of else next(fill_iter)
-                            for c in support)
-            terms[new_psi] = lam
-    return ProbExpr(ctx, support, terms)
-
-
-def dense_mul(a, b):
-    """mul as it was before the sparse join: lift both, pair per psi."""
-    support = tuple(sorted(set(a.support) | set(b.support)))
-    a = _dense_lift(a, support)
-    b = _dense_lift(b, support)
-    terms = {}
-    for psi, lam in a.terms.items():
-        lam2 = b.terms.get(psi)
-        if lam2 is None:
-            continue
-        j = coeff_joint(lam, lam2)
-        if j:
-            terms[psi] = j
-    return ProbExpr(a.ctx, support, terms)
-
-
 def cyclic_build(src):
     prog = parse(src)
     g = solve_standard(prog)
@@ -234,21 +199,32 @@ def cyclic_build(src):
     return prog, work, context_from_program(prog, work)
 
 
-def ordered(e):
-    return e.support, [(psi, list(lam.items())) for psi, lam in e.terms.items()]
+def listed(support, terms):
+    """Per-assignment coefficients with their monomial order, which
+    expr_str prints."""
+    return support, {psi: list(lam.items()) for psi, lam in terms.items()}
 
 
-class TestSparseMul:
-    def test_matches_dense_reference(self, monkeypatch):
-        calls = []
+class TestCells:
+    def test_matches_per_assignment_reference(self, monkeypatch):
+        calls = {"mul": [], "add": [], "neg": []}
 
-        def checked(a, b):
-            got = mul(a, b)
-            assert ordered(got) == ordered(dense_mul(a, b))
-            calls.append(a.support != b.support)
-            return got
+        def checked(name, op, ref):
+            def run(*args):
+                got = op(*args)
+                spelled = dense_terms(got)
+                assert listed(got.support, spelled) == \
+                    listed(*ref(*args)), name
+                # disjoint cells: their sizes add up to the assignments
+                assert sum(math.prod(map(len, got.indices(cell)))
+                           for cell in got.terms) == len(spelled), name
+                calls[name].append(len({a.support for a in args}) > 1)
+                return got
+            return run
 
-        monkeypatch.setattr(symexpr, "mul", checked)
+        monkeypatch.setattr(symexpr, "mul", checked("mul", mul, dense_mul))
+        monkeypatch.setattr(symexpr, "add", checked("add", add, dense_add))
+        monkeypatch.setattr(symexpr, "neg", checked("neg", neg, dense_neg))
         sources = [ROADS, SIXPACK] + \
             [random_program_source(seed) for seed in range(30)]
         for src in sources:
@@ -256,42 +232,31 @@ class TestSparseMul:
             memo = {}
             for n in g.nodes:
                 gen_objective(g, ctx, n, memo)
-        # the chain's queries only: the reference lifts its longest paths
-        # over up to six classes, seconds for every node
+        # the chain's queries only: the reference spells out its longest
+        # paths over up to six classes, seconds for every node
         prog, g, ctx = cyclic_build(CHAIN)
         memo = {}
         for q in prog.queries:
             gen_objective(g, ctx, q, memo)
         # operands over equal and over differing supports were both compared
-        assert any(calls) and not all(calls)
+        for name in ("mul", "add"):
+            assert any(calls[name]) and not all(calls[name]), name
+        assert calls["neg"]
 
+
+class TestSparseMul:
     def test_cap_still_raises_across_classes(self, monkeypatch):
         prog, g, ctx = build("""
             0.5::a1. 0.5::a2. 0.5::a3. corr(a1,a2,a3).
             0.5::b1. 0.5::b2. 0.5::b3. corr(b1,b2,b3).
+            1::x :- a1, b1.
+            1::y :- a1, \\+a2.
         """)
         monkeypatch.setattr(symexpr, "MAX_TEMPLATE", 63)
-        a = expr_of_input(ctx, Atom("a1"))
-        b = expr_of_input(ctx, Atom("b1"))
-        with pytest.raises(DimensionCapExceeded):
-            mul(a, b)
+        with pytest.raises(DimensionCapExceeded, match="exceeds 63 terms"):
+            gen_objective(g, ctx, Atom("x"))
         # one class's template (8 terms) is under the cap
-        assert mul(a, expr_of_input(ctx, Atom("a2"))).support == a.support
-
-    def test_chain_objectives_lift_nothing(self, monkeypatch):
-        lifts = []
-        lift = symexpr._lift
-
-        def counted(e, support):
-            if e.support != support:
-                lifts.append(support)
-            return lift(e, support)
-
-        monkeypatch.setattr(symexpr, "_lift", counted)
-        prog, g, ctx = cyclic_build(CHAIN)
-        for q in prog.queries:
-            gen_objective(g, ctx, q)
-        assert lifts == []
+        assert gen_objective(g, ctx, Atom("y")).support == (0,)
 
     def test_chain_exact_range_unchanged(self):
         # the value the dense lift-based mul gave
