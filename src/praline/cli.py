@@ -11,6 +11,7 @@ import fnmatch
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -244,6 +245,18 @@ def _cmd_oracle(args, program) -> int:
     return 0
 
 
+def _delta(text: str) -> float:
+    """A `--delta` value: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number above 0, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -260,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("file", help="program file")
     ps.add_argument("--mode", choices=["exact", "approx", "delta"],
                     default="delta")
-    ps.add_argument("--delta", type=float, default=0.01,
+    ps.add_argument("--delta", type=_delta, default=0.01,
                     help="precision target for delta mode (default 0.01)")
     ps.add_argument("--query", action="append", metavar="PAT",
                     help="only report atoms matching this pattern "

@@ -11,7 +11,14 @@ enumerates and memoizes them; this module keeps no copy.
 
 Derived events inherit types from the input facts they depend on, with
 polarity flips across negation; any mixed or undecidable pair degrades to
-unknown, never to a wrong definite verdict.
+unknown, never to a wrong definite verdict.  Only facts of a class that
+both events read are paired: facts of different classes are independent,
+and an independent pair changes no verdict.
+
+Both memos are keyed on the terms themselves, whose hashes are computed
+once: fact verdicts on `(a, b)` atom pairs, event verdicts on
+`(e1, e2)` dependency signatures.  Both verdicts are symmetric, so each
+is stored under both orders.
 """
 
 from __future__ import annotations
@@ -85,11 +92,10 @@ def _is_constant(env: CorrEnv, fact: Atom) -> bool:
 
 def infer_input_pair(env: CorrEnv, a: Atom, b: Atom) -> CorrType:
     """Correlation type of two ground input facts."""
-    key = (a, b) if str(a) <= str(b) else (b, a)
-    if key in env._fact_memo:
-        return env._fact_memo[key]
-    verdict = _input_pair(env, a, b)
-    env._fact_memo[key] = verdict
+    verdict = env._fact_memo.get((a, b))
+    if verdict is None:
+        verdict = _input_pair(env, a, b)
+        env._fact_memo[a, b] = env._fact_memo[b, a] = verdict
     return verdict
 
 
@@ -143,56 +149,61 @@ def _signs(sig: DepSig, fact: Atom) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _chi(env: CorrEnv, sig: DepSig) -> bool:
+def _by_class(env: CorrEnv, sig: DepSig) -> dict[int, list[Atom]]:
+    """The input facts an event depends on, grouped by class."""
+    groups: dict[int, list[Atom]] = {}
+    for f in sig[0] | sig[1]:
+        groups.setdefault(env.ctx.fact_bit[f][0], []).append(f)
+    return groups
+
+
+def _chi(groups: dict[int, list[Atom]]) -> bool:
     """All dependencies in pairwise distinct classes."""
-    deps = sig[0] | sig[1]
-    classes = [env.ctx.fact_bit[f][0] for f in deps]
-    return len(classes) == len(set(classes))
-
-
-def _canon(sig: DepSig) -> tuple:
-    return (tuple(sorted(map(str, sig[0]))), tuple(sorted(map(str, sig[1]))))
+    return all(len(facts) == 1 for facts in groups.values())
 
 
 def infer_expr_pair(env: CorrEnv, e1: DepSig, e2: DepSig) -> CorrType:
     """Correlation type of two derived events given their dependency sets."""
-    k1, k2 = _canon(e1), _canon(e2)
-    key = (k1, k2) if k1 <= k2 else (k2, k1)
-    if key in env._expr_memo:
-        return env._expr_memo[key]
+    verdict = env._expr_memo.get((e1, e2))
+    if verdict is not None:
+        return verdict
     if env.lookups >= env.budget:
         return CorrType.UNKNOWN
     env.lookups += 1
     verdict = _expr_pair(env, e1, e2)
-    env._expr_memo[key] = verdict
+    env._expr_memo[e1, e2] = env._expr_memo[e2, e1] = verdict
     return verdict
 
 
 def _expr_pair(env: CorrEnv, e1: DepSig, e2: DepSig) -> CorrType:
-    deps1 = e1[0] | e1[1]
-    deps2 = e2[0] | e2[1]
+    groups1 = _by_class(env, e1)
+    groups2 = _by_class(env, e2)
     may_pos = False
     may_neg = False
     all_indep = True
-    for x in deps1:
-        for y in deps2:
-            t = infer_input_pair(env, x, y)
-            if t is CorrType.INDEP:
-                continue
-            all_indep = False
-            if t is CorrType.UNKNOWN:
-                may_pos = may_neg = True
-                continue
-            for sx in _signs(e1, x):
-                for sy in _signs(e2, y):
-                    aligned = sx * sy > 0
-                    if (t is CorrType.POS) == aligned:
-                        may_pos = True
-                    else:
-                        may_neg = True
+    for cls, xs in groups1.items():
+        ys = groups2.get(cls)
+        if ys is None:
+            continue
+        for x in xs:
+            for y in ys:
+                t = infer_input_pair(env, x, y)
+                if t is CorrType.INDEP:
+                    continue
+                all_indep = False
+                if t is CorrType.UNKNOWN:
+                    may_pos = may_neg = True
+                    continue
+                for sx in _signs(e1, x):
+                    for sy in _signs(e2, y):
+                        aligned = sx * sy > 0
+                        if (t is CorrType.POS) == aligned:
+                            may_pos = True
+                        else:
+                            may_neg = True
     if all_indep:
         return CorrType.INDEP
-    if not (_chi(env, e1) and _chi(env, e2)):
+    if not (_chi(groups1) and _chi(groups2)):
         return CorrType.UNKNOWN
     if may_pos and not may_neg:
         return CorrType.POS

@@ -66,10 +66,29 @@ def is_var(t: Term) -> bool:
     return isinstance(t, str) and (t[0].isupper() or t[0] == "_")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
+    """A predicate applied to constants and variables.
+
+    Atoms key every graph, memo and set of the pipeline, so the hash and
+    groundness are computed once, in `__post_init__`.  They cannot go
+    stale: an atom is frozen and its args are a tuple of strings and ints.
+    The hash is the one the generated `__hash__` would give, so set and
+    dict orders are the same as with it.
+    """
+
     functor: str
     args: tuple[Term, ...] = ()
+    _hash: int = field(init=False, compare=False, repr=False)
+    is_ground: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.functor, self.args)))
+        object.__setattr__(self, "is_ground",
+                           not any(is_var(a) for a in self.args))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         if not self.args:
@@ -77,10 +96,6 @@ class Atom:
         return f"{self.functor}({','.join(str(a) for a in self.args)})"
 
     __repr__ = __str__
-
-    @property
-    def is_ground(self) -> bool:
-        return not any(is_var(a) for a in self.args)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ the atoms the previous round derived, and a per-stratum watch index, from
 each predicate to the rules with a positive literal on it, limits a round
 to the rules its delta can fire.  break_cycles unfolds recursive components
 into depth-indexed copies so that downstream passes see an acyclic graph.
+
+Cycles are searched for once per index: `DerivationGraph.cycles` keeps
+the components that `solve_standard` found for `break_cycles` to unfold.
+The unfolded graph is checked by its topological order, which raises on a
+cycle and is then kept for `depends` and the approx pass.
 """
 
 from __future__ import annotations
@@ -87,10 +92,12 @@ class DerivationGraph:
     def __post_init__(self):
         self._input_set = set(self.input_facts)
         self._topo: Optional[list[Atom]] = None
+        self._cycles: Optional[list[list[Atom]]] = None
 
     def rebuild_index(self):
         self._input_set = set(self.input_facts)
         self._topo = None
+        self._cycles = None
         self.in_edges = {}
         node_seen = dict.fromkeys(self.input_facts)
         for i, e in enumerate(self.edges):
@@ -103,6 +110,15 @@ class DerivationGraph:
     @property
     def derived_nodes(self) -> list[Atom]:
         return [n for n in self.nodes if n in self.in_edges]
+
+    def cycles(self) -> list[list[Atom]]:
+        """Nontrivial strongly connected components of the atom graph.
+
+        Computed once per index, like `topo_order`.
+        """
+        if self._cycles is None:
+            self._cycles = _find_cycles(self)
+        return self._cycles
 
     def topo_order(self) -> list[Atom]:
         """Topological order of the acyclic graph, inputs first.
@@ -386,7 +402,7 @@ def solve_standard(program: Program) -> DerivationGraph:
                         input_facts=list(inputs), strata=strata)
     g.rebuild_index()
     _assign_events(g)
-    g.acyclic = not recursive or not _find_cycles(g)
+    g.acyclic = not recursive or not g.cycles()
     return g
 
 
@@ -453,7 +469,7 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
     of one ground rule share its event variable; carry edges (copy k from
     copy k-1) are deterministic.
     """
-    cycles = _find_cycles(g)
+    cycles = g.cycles()
     if not cycles:
         g.acyclic = True
         return g
@@ -513,8 +529,10 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
                          event_var=dict(g.event_var),
                          input_alias=all_aliases)
     g2.rebuild_index()
-    g2.acyclic = not _find_cycles(g2)
-    assert g2.acyclic, "unfolding left a cycle behind"
+    try:
+        g2.topo_order()
+    except PralineError:
+        raise PralineError("unfolding left a cycle behind") from None
     return g2
 
 

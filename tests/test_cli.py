@@ -117,6 +117,15 @@ class TestExitCodes:
             run(["solve", "x.pl", "--mode", "bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-0.5", "nan", "inf"])
+    def test_unusable_delta_is_a_usage_error(self, roads_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", roads_file, "--delta", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--delta" in err
+        assert "Traceback" not in err
+
 
 class TestOversizedClass:
     @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
@@ -166,6 +175,18 @@ print(json.dumps([after_roads, "scipy.optimize" in sys.modules,
 """
 
 
+# Imports the CLI in a fresh interpreter; prints the top-level modules it
+# loaded that are neither standard library nor numpy or praline.
+IMPORT_GUARD = """
+import json, sys
+before = set(sys.modules)
+import praline.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names)
+                        - {"numpy", "praline"})))
+"""
+
+
 # Solves a 14-fact class of independent marginals in delta mode in a fresh
 # interpreter, counting the LPs; prints the count and whether scipy.optimize
 # was loaded.
@@ -201,6 +222,14 @@ class TestColdStart:
         assert not after_roads
         assert after_lp
         assert (lo, hi) == pytest.approx((0.3, 0.8), abs=1e-9)
+
+    def test_cli_import_loads_only_stdlib_and_numpy(self):
+        src_dir = os.path.dirname(os.path.dirname(praline.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src_dir})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
 
     def test_independent_marginals_need_no_lp(self):
         # a 2^14-column class whose declarations share no fact: each is

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from praline import parse
+import praline.corrtypes as corrtypes
+from praline import Atom, parse
+from praline.approx import approx_bounds
 from praline.constraints import gen_constraints
 from praline.corrtypes import (
     CorrType,
@@ -14,6 +16,8 @@ from praline.corrtypes import (
 from praline.grounder import break_cycles, solve_standard
 from praline.oracle import build_world_space, pair_probs, sample_feasible_mu
 from praline.symexpr import context_from_program
+
+from conftest import CHAIN
 
 
 def env_for(src_or_program):
@@ -169,3 +173,28 @@ class TestExprPairs:
         s1 = dep_sig(env, node(env, "path(1,5)"))
         s2 = dep_sig(env, node(env, "path(1,6)"))
         assert infer_expr_pair(env, s1, s2) is CorrType.UNKNOWN
+
+
+class TestAtomKeys:
+    """Pair typing keys its memos on atoms and pairs shared classes only."""
+
+    def test_approx_pass_prints_no_atom(self, monkeypatch):
+        env, _, _ = env_for(CHAIN)
+        calls = []
+        to_str = Atom.__str__
+        monkeypatch.setattr(Atom, "__str__",
+                            lambda a: calls.append(a) or to_str(a))
+        approx_bounds(env)
+        assert calls == []
+
+    def test_pairs_only_facts_of_a_shared_class(self, monkeypatch):
+        env, _, _ = env_for(CHAIN)
+        pairs = []
+        infer = corrtypes.infer_input_pair
+        monkeypatch.setattr(corrtypes, "infer_input_pair",
+                            lambda e, a, b: pairs.append((a, b))
+                            or infer(e, a, b))
+        approx_bounds(env)
+        cls = {f: cpos for f, (cpos, _) in env.ctx.fact_bit.items()}
+        assert pairs
+        assert all(cls[a] == cls[b] for a, b in pairs)

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 
+import praline.grounder as grounder
 from praline import Atom, NonStratifiedError, parse
+from praline.cli import _pipeline
 from praline.frontend import is_var
 from praline.grounder import (
     GroundRuleId,
@@ -13,6 +15,7 @@ from praline.grounder import (
     solve_standard,
 )
 
+from conftest import CHAIN as CYCLIC_CHAIN
 from conftest import ROADS, random_program_source
 
 
@@ -106,6 +109,28 @@ def test_cycle_detection_and_unfolding():
         assert any(str(n) == a for n in g2.nodes)
     # events are shared between unfolded copies of one ground rule
     assert g2.event_var == g.event_var
+
+
+def test_pipeline_searches_for_cycles_once(monkeypatch):
+    # grounding finds the components and unfolding reuses them; the unfolded
+    # graph is checked by its topological order, not by another search
+    calls = []
+    find = grounder._find_cycles
+    monkeypatch.setattr(grounder, "_find_cycles",
+                        lambda g: calls.append(g) or find(g))
+    work = _pipeline(parse(CYCLIC_CHAIN))[0]
+    assert len(calls) == 1
+    assert work.acyclic
+
+
+def test_rebuild_index_clears_cycles():
+    g = ground(CYCLIC_CHAIN)
+    cycles = g.cycles()
+    assert cycles
+    assert g.cycles() is cycles
+    g.rebuild_index()
+    assert g.cycles() is not cycles
+    assert g.cycles() == cycles
 
 
 def test_break_cycles_noop_on_acyclic(roads):
