@@ -86,10 +86,22 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def _pipeline(program):
-    """Ground, unfold and constrain a program; raises InfeasibleError on
-    conflicting declarations."""
+def _pipeline(program, queries=None):
+    """Ground, slice, unfold and constrain a program; raises InfeasibleError
+    on conflicting declarations.
+
+    The ground graph is cut to its cone (`DerivationGraph.cone`): the edges
+    that the outputs `_select_outputs` picks for queries reach backwards.
+    Every later layer reads only the cone.  A node's interval, objective
+    and verdicts depend only on its in-edges, so no answer changes; the
+    shared `EXPR_PAIR_BUDGET` only counts fewer lookups.  The cone reuses
+    the components of the full graph's one cycle search.  Events keep the
+    full graph's numbers, so expressions name the same variables, and the
+    constraints come from the program's declarations, so a conflict
+    outside the cone is still infeasible.
+    """
     graph = solve_standard(program)
+    graph = graph.cone(_select_outputs(program, graph, queries)[0])
     work = graph if graph.acyclic else break_cycles(graph)
     ctx = context_from_program(program, work)
     system = gen_constraints(program, ctx)
@@ -123,7 +135,7 @@ def solve_program(program, mode="delta", delta=0.01,
                   queries=None) -> BoundsReport:
     """Bounds for every queried fact; raises InfeasibleError on conflict."""
     t0 = time.perf_counter()
-    work, ctx, system, env = _pipeline(program)
+    work, ctx, system, env = _pipeline(program, queries)
     outputs, absent = _select_outputs(program, work, queries)
     facts = []
     if mode == "exact":
@@ -168,9 +180,10 @@ def _dump(args, program):
     """Print what the --dump-* flags ask for, from a pipeline of its own.
 
     solve_program builds its pipeline separately, so only a dumping solve
-    grounds the program twice.  An infeasible program dumps nothing.
+    grounds the program twice.  An infeasible program dumps nothing.  The
+    graph printed is the one the later layers read: the cone, unfolded.
     """
-    work, ctx, system, env = _pipeline(program)
+    work, ctx, system, env = _pipeline(program, args.query)
     if args.dump_graph:
         print("derivation graph:")
         for e in work.edges:
@@ -223,7 +236,7 @@ def _cmd_solve(args, program) -> int:
 
 
 def _cmd_oracle(args, program) -> int:
-    work, ctx, system, env = _pipeline(program)
+    work, ctx, system, env = _pipeline(program, args.query)
     outputs, absent = _select_outputs(program, work, args.query)
     rng = np.random.default_rng(args.seed)
     sampled = None
@@ -282,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--dump-exprs", action="store_true")
     ps.add_argument("--dump-constraints", action="store_true")
     ps.add_argument("--dump-correlations", action="store_true")
-    ps.add_argument("--dump-graph", action="store_true")
+    ps.add_argument("--dump-graph", action="store_true",
+                    help="print the derivation graph the inference reads: "
+                         "the reported atoms' cone, cycles unfolded")
 
     po = sub.add_parser("oracle",
                         help="brute-force possible-world cross-check")

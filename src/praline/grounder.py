@@ -14,6 +14,15 @@ Cycles are searched for once per index: `DerivationGraph.cycles` keeps
 the components that `solve_standard` found for `break_cycles` to unfold.
 The unfolded graph is checked by its topological order, which raises on a
 cycle and is then kept for `depends` and the approx pass.
+
+`DerivationGraph.cone` slices a ground graph to the edges some outputs
+reach backwards: everything their probabilities can read.  A strongly
+connected component is either wholly inside the cone (one member reaches
+an output, so every member does) or wholly outside it, so the cone keeps
+the full graph's components and runs no second cycle search.  The event
+numbering and the input facts stay the whole program's, so a slice names
+each event by the same variable as the full graph, and the constraints
+built from the declarations cover every fact whatever the slice reads.
 """
 
 from __future__ import annotations
@@ -119,6 +128,39 @@ class DerivationGraph:
         if self._cycles is None:
             self._cycles = _find_cycles(self)
         return self._cycles
+
+    def cone(self, outputs) -> DerivationGraph:
+        """The subgraph of the edges that some output reaches backwards.
+
+        A node's derivations are its in-edges and, recursively, those of
+        their bodies, so the cone keeps everything an output can read.  The
+        input facts and the event numbering stay the whole program's.  A
+        component lies wholly inside the cone or wholly outside it, so the
+        cone keeps the components already found, without a second search.
+        Returns self when nothing is dropped.
+        """
+        seen = set(outputs)
+        stack = list(seen)
+        kept: list[int] = []
+        while stack:
+            for ei in self.in_edges.get(stack.pop(), ()):
+                kept.append(ei)
+                for b in self.edges[ei].bodies():
+                    if b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+        if len(kept) == len(self.edges):
+            return self
+        g = DerivationGraph(program=self.program,
+                            edges=[self.edges[i] for i in sorted(kept)],
+                            input_facts=self.input_facts,
+                            event_var=self.event_var, strata=self.strata,
+                            input_alias=self.input_alias)
+        g.rebuild_index()
+        g._cycles = [] if self.acyclic else \
+            [scc for scc in self.cycles() if scc[0] in seen]
+        g.acyclic = not g._cycles
+        return g
 
     def topo_order(self) -> list[Atom]:
         """Topological order of the acyclic graph, inputs first.

@@ -63,12 +63,16 @@ def build_world_space(program: Program, graph: DerivationGraph) -> WorldSpace:
         cls_off.append(len(cls_bits))
         dist_off.append(dist_off[-1] + (1 << len(cls.members)))
 
+    # one bit per event the edges carry, in event order: the identity on
+    # a whole graph, and only the events a sliced graph reads on its cone
     edge_prob = {}
     for e in graph.edges:
         if e.rule_id in graph.event_var:
             edge_prob[graph.event_var[e.rule_id]] = e.prob
-    n_events = len(graph.event_var)
-    ev_prob = np.array([edge_prob[j + 1] for j in range(n_events)])
+    events = sorted(edge_prob)
+    ev_slot = {var: k for k, var in enumerate(events)}
+    n_events = len(events)
+    ev_prob = np.array([edge_prob[var] for var in events])
 
     n_bits = offset + n_events
     if n_bits > MAX_WORLD_BITS:
@@ -101,7 +105,7 @@ def build_world_space(program: Program, graph: DerivationGraph) -> WorldSpace:
         head[pos] = node_index[e.head]
         var = graph.event_var.get(e.rule_id)
         if var is not None:
-            ev_bit[pos] = offset + var - 1
+            ev_bit[pos] = offset + ev_slot[var]
         for a in e.pos:
             body_node.append(node_index[a])
             body_sign.append(1)

@@ -95,11 +95,15 @@ class TestSolveModes:
 
 class TestExitCodes:
     def test_conflict_prints_no_solution(self, tmp_path, capsys):
-        f = tmp_path / "bad.pl"
-        f.write_text(CONFLICT)
-        code = run(["solve", str(f)])
-        assert code == 1
-        assert "No solution" in capsys.readouterr().out
+        # the conflicting facts may lie outside every query's cone
+        elsewhere = CONFLICT.replace("query(out).",
+                                     "0.5::j.\nok :- j.\nquery(ok).")
+        for src in (CONFLICT, elsewhere):
+            f = tmp_path / "bad.pl"
+            f.write_text(src)
+            code = run(["solve", str(f)])
+            assert code == 1
+            assert "No solution" in capsys.readouterr().out
 
     def test_parse_error(self, tmp_path, capsys):
         f = tmp_path / "broken.pl"
@@ -330,6 +334,27 @@ class TestDumps:
         out = capsys.readouterr().out
         assert "path(1,7) <-" in out
 
+    def test_dump_graph_prints_the_query_cone(self, roads_file, capsys):
+        # of ROADS' 12 ground edges, the three queries read 5
+        run(["solve", roads_file, "--dump-graph", "--mode", "approx"])
+        out = capsys.readouterr().out
+        graph = out.split("derivation graph:\n")[1]
+        assert len([l for l in graph.splitlines() if " <- " in l]) == 5
+
+    def test_dump_exprs_outside_the_program_queries(self, roads_file, capsys):
+        # path(2,7) is derived but outside every query(...) atom's cone
+        from praline.grounder import solve_standard
+        from praline.symexpr import context_from_program, expr_str, \
+            gen_objective
+        program = praline.parse(ROADS)
+        graph = solve_standard(program)
+        target = next(n for n in graph.nodes if str(n) == "path(2,7)")
+        expr = expr_str(gen_objective(
+            graph, context_from_program(program, graph), target))
+        assert run(["solve", roads_file, "--query", "path(2,7)",
+                    "--dump-exprs"]) == 0
+        assert f"  path(2,7) = {expr}\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flag", ["--dump-graph", "--dump-constraints",
                                       "--dump-correlations", "--dump-exprs"])
     def test_infeasible_program_dumps_nothing(self, tmp_path, capsys, flag):
@@ -349,6 +374,25 @@ class TestOracleCommand:
         assert "path(1,7): exact [0.344448, 0.412992]" in out
         assert "sampled mu in [" in out
 
+    def test_oracle_outside_the_program_queries(self, roads_file, capsys):
+        assert run(["oracle", roads_file, "--query", "path(2,7)",
+                    "--samples", "5"]) == 0
+        assert "path(2,7): exact [0.57408, 0.68832]" in \
+            capsys.readouterr().out
+
+    def test_oracle_enumerates_the_recursive_cone(self, tmp_path, capsys):
+        # CHAIN's whole graph needs 36 fact+event bits, past the 24-bit
+        # cap; the cone of path(0,8) carries one event, so 19
+        f = tmp_path / "chain.pl"
+        f.write_text(CHAIN)
+        assert run(["solve", str(f), "--mode", "exact",
+                    "--query", "path(0,8)"]) == 0
+        exact = capsys.readouterr().out.strip().replace(": [", ": exact [")
+        assert run(["oracle", str(f), "--query", "path(0,8)",
+                    "--samples", "5"]) == 0
+        assert capsys.readouterr().out.startswith(
+            exact + ", 5 sampled mu in [")
+
     def test_oracle_past_the_vertex_caps_still_samples(self, tmp_path,
                                                         capsys):
         f = tmp_path / "big.pl"
@@ -367,6 +411,12 @@ class TestOracleCommand:
 
 
 class TestPythonApi:
+    def test_solve_source_outside_the_program_queries(self):
+        (f,) = solve_source(ROADS, queries=["path(2,7)"]).facts
+        assert (f.atom, f.mode) == ("path(2,7)", "delta")
+        assert f.lower == pytest.approx(0.568725, abs=1e-9)
+        assert f.upper == pytest.approx(0.691575, abs=1e-9)
+
     def test_solve_source_exact(self):
         report = solve_source(ROADS, mode="exact")
         facts = {f.atom: f for f in report.facts}

@@ -4,6 +4,7 @@ import pytest
 
 import praline.grounder as grounder
 from praline import Atom, NonStratifiedError, parse
+from praline.approx import approx_bounds
 from praline.cli import _pipeline
 from praline.frontend import is_var
 from praline.grounder import (
@@ -121,6 +122,38 @@ def test_pipeline_searches_for_cycles_once(monkeypatch):
     work = _pipeline(parse(CYCLIC_CHAIN))[0]
     assert len(calls) == 1
     assert work.acyclic
+
+
+def _source(n):
+    """X of a path(X,Y) node or of one of its copies, else None."""
+    return str(n.args[0]) if n.functor.split("@")[0] == "path" else None
+
+
+def test_pipeline_reads_only_the_query_cone(monkeypatch):
+    # CHAIN queries path(0,*) only: no later layer may see path(X,*), X != 0
+    import praline.cli as cli
+    grounded, unfolded = [], []
+    ground_fn, unfold_fn = cli.solve_standard, cli.break_cycles
+    monkeypatch.setattr(cli, "solve_standard",
+                        lambda p: grounded.append(ground_fn(p)) or grounded[-1])
+    monkeypatch.setattr(cli, "break_cycles",
+                        lambda g: unfolded.append(g) or unfold_fn(g))
+    work, _, _, env = _pipeline(parse(CYCLIC_CHAIN))
+    assert {_source(n) for n in work.nodes} == {None, "0"}
+    (sliced,) = unfolded
+    assert sliced.cycles()
+    assert {_source(n) for scc in sliced.cycles() for n in scc} == {"0"}
+    assert set(approx_bounds(env)) == set(work.nodes)
+    # the grounder's own graph stays whole for its callers
+    (full,) = grounded
+    assert len(full.edges) == 168
+    assert {_source(n) for scc in full.cycles() for n in scc} != {"0"}
+
+
+def test_cone_is_self_when_every_edge_is_read(roads):
+    g = solve_standard(roads)
+    assert g.cone(g.derived_nodes) is g
+    assert len(g.cone([Atom("path", (1, 7))]).edges) == 5
 
 
 def test_rebuild_index_clears_cycles():
