@@ -107,7 +107,7 @@ def _pipeline(program, queries=None):
     system = gen_constraints(program, ctx)
     if not check_feasible(system):
         raise InfeasibleError("No solution")
-    return work, ctx, system, build_env(program, work, ctx, system)
+    return work, ctx, system, build_env(work, ctx, system)
 
 
 def _select_outputs(program, graph, patterns):
@@ -230,8 +230,12 @@ def _cmd_solve(args, program) -> int:
     if out:
         print(out)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json() + "\n")
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(report.to_json() + "\n")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     return 0
 
 
@@ -270,6 +274,18 @@ def _delta(text: str) -> float:
     return value
 
 
+def _samples(text: str) -> int:
+    """A `--samples` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process.
@@ -303,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="brute-force possible-world cross-check")
     po.add_argument("file", help="program file")
     po.add_argument("--query", action="append", metavar="PAT")
-    po.add_argument("--samples", type=int, default=50,
+    po.add_argument("--samples", type=_samples, default=50,
                     help="feasible distributions to sample (default 50)")
     po.add_argument("--seed", type=int, default=0)
     return p

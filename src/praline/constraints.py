@@ -42,7 +42,7 @@ import numpy as np
 
 from praline import optimizer
 from praline.frontend import (Atom, DimensionCapExceeded, InputProbDecl,
-                              Program, format_bits)
+                              Program, _UnionFind, format_bits)
 from praline.optimizer import VERTEX_DIM_CAP, linprog
 from praline.symexpr import ExprContext
 
@@ -186,7 +186,6 @@ class ClassSystem:
 @dataclass
 class ConstraintSystem:
     classes: list[ClassSystem]
-    var_prob: dict[int, float]
 
     def describe(self) -> str:
         lines = []
@@ -221,7 +220,7 @@ def gen_constraints(program: Program, ctx: ExprContext) -> ConstraintSystem:
         if cs.dim > VERTEX_DIM_CAP:
             cs.parts = _parts(cs, by_class[cpos])
         classes.append(cs)
-    return ConstraintSystem(classes, dict(ctx.var_prob))
+    return ConstraintSystem(classes)
 
 
 def _parts(cs: ClassSystem, decls: list[InputProbDecl]) -> list[ClassSystem]:
@@ -233,27 +232,18 @@ def _parts(cs: ClassSystem, decls: list[InputProbDecl]) -> list[ClassSystem]:
     own members, in class order, unless it has more than
     `MAX_CONSTRAINT_BITS` members: such a component gets no system.
     """
-    root: dict[Atom, Atom] = {}
-
-    def find(a: Atom) -> Atom:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
+    uf = _UnionFind()
     for decl in decls:
-        atoms = list(decl.atoms())
-        for a in atoms:
-            root.setdefault(a, a)
-        for a in atoms[1:]:
-            root[find(a)] = find(atoms[0])
+        for a in decl.atoms():
+            uf.add(a)
+            uf.union(decl.head, a)
     members: dict[Atom, list[Atom]] = {}
     for m in cs.members:
-        if m in root:
-            members.setdefault(find(m), []).append(m)
+        if m in uf.parent:
+            members.setdefault(uf.find(m), []).append(m)
     own: dict[Atom, list[InputProbDecl]] = {r: [] for r in members}
     for decl in decls:
-        own[find(decl.head)].append(decl)
+        own[uf.find(decl.head)].append(decl)
     parts = []
     for r, ms in members.items():
         if len(ms) <= MAX_CONSTRAINT_BITS:

@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from praline.constraints import ConstraintSystem
-from praline.frontend import Atom, Program
+from praline.frontend import Atom
 from praline.grounder import DerivationGraph, depends
 # read only by perfbench/spans.py; vertices come from ClassSystem.vertices
 from praline.optimizer import enumerate_class_vertices  # noqa: F401
@@ -55,7 +55,6 @@ class CorrType(Enum):
 
 @dataclass
 class CorrEnv:
-    program: Program
     graph: DerivationGraph
     ctx: ExprContext
     system: ConstraintSystem
@@ -68,10 +67,10 @@ class CorrEnv:
     _exprs: dict = field(default_factory=dict)
 
 
-def build_env(program: Program, graph: DerivationGraph, ctx: ExprContext,
+def build_env(graph: DerivationGraph, ctx: ExprContext,
               system: ConstraintSystem) -> CorrEnv:
     dep_pos, dep_neg = depends(graph)
-    return CorrEnv(program, graph, ctx, system, dep_pos, dep_neg)
+    return CorrEnv(graph, ctx, system, dep_pos, dep_neg)
 
 
 def dep_sig(env: CorrEnv, node: Atom) -> DepSig:

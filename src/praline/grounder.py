@@ -10,10 +10,11 @@ each predicate to the rules with a positive literal on it, limits a round
 to the rules its delta can fire.  break_cycles unfolds recursive components
 into depth-indexed copies so that downstream passes see an acyclic graph.
 
-Cycles are searched for once per index: `DerivationGraph.cycles` keeps
-the components that `solve_standard` found for `break_cycles` to unfold.
-The unfolded graph is checked by its topological order, which raises on a
-cycle and is then kept for `depends` and the approx pass.
+A `DerivationGraph` is complete when built and is never changed.  Its
+components are searched for once, when `solve_standard` grounds a program
+that `stratify` finds recursive.  The unfolded graph is checked by its
+topological order, which raises on a cycle and is then kept for `depends`
+and the approx pass.
 
 `DerivationGraph.cone` slices a ground graph to the edges some outputs
 reach backwards: everything their probabilities can read.  A strongly
@@ -27,7 +28,7 @@ built from the declarations cover every fact whatever the slice reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterator, Optional
 
 from praline.frontend import (
@@ -78,16 +79,23 @@ class Hyperedge:
 
 @dataclass
 class DerivationGraph:
-    program: Program
-    nodes: list[Atom] = field(default_factory=list)
-    edges: list[Hyperedge] = field(default_factory=list)
-    in_edges: dict[Atom, list[int]] = field(default_factory=dict)
-    input_facts: list[Atom] = field(default_factory=list)
-    event_var: dict[GroundRuleId, int] = field(default_factory=dict)
-    acyclic: bool = True
-    strata: dict[str, int] = field(default_factory=dict)
+    """A ground derivation hypergraph, complete when built, never changed.
+
+    The constructor indexes the edges into `nodes` and `in_edges`.  The
+    nontrivial components come from the builder where it knows them (none
+    for a non-recursive program or an unfolded graph, the kept ones for a
+    cone); `components=None` makes the constructor search for them.
+    """
+
+    edges: list[Hyperedge]
+    input_facts: list[Atom]
+    event_var: dict[GroundRuleId, int]
+    strata: dict[str, int]
+    components: InitVar[Optional[list[list[Atom]]]]
     # synthetic leaf -> the input fact it stands for (see break_cycles)
     input_alias: dict[Atom, Atom] = field(default_factory=dict)
+    nodes: list[Atom] = field(init=False)
+    in_edges: dict[Atom, list[int]] = field(init=False)
 
     def is_input(self, a: Atom) -> bool:
         return a in self._input_set
@@ -98,15 +106,9 @@ class DerivationGraph:
             return a
         return self.input_alias.get(a)
 
-    def __post_init__(self):
+    def __post_init__(self, components):
         self._input_set = set(self.input_facts)
         self._topo: Optional[list[Atom]] = None
-        self._cycles: Optional[list[list[Atom]]] = None
-
-    def rebuild_index(self):
-        self._input_set = set(self.input_facts)
-        self._topo = None
-        self._cycles = None
         self.in_edges = {}
         node_seen = dict.fromkeys(self.input_facts)
         for i, e in enumerate(self.edges):
@@ -115,19 +117,19 @@ class DerivationGraph:
             for b in e.bodies():
                 node_seen.setdefault(b, None)
         self.nodes = list(node_seen)
+        self._cycles = _find_cycles(self) if components is None else components
 
     @property
     def derived_nodes(self) -> list[Atom]:
         return [n for n in self.nodes if n in self.in_edges]
 
     def cycles(self) -> list[list[Atom]]:
-        """Nontrivial strongly connected components of the atom graph.
-
-        Computed once per index, like `topo_order`.
-        """
-        if self._cycles is None:
-            self._cycles = _find_cycles(self)
+        """Nontrivial strongly connected components of the atom graph."""
         return self._cycles
+
+    @property
+    def acyclic(self) -> bool:
+        return not self._cycles
 
     def cone(self, outputs) -> DerivationGraph:
         """The subgraph of the edges that some output reaches backwards.
@@ -151,22 +153,15 @@ class DerivationGraph:
                         stack.append(b)
         if len(kept) == len(self.edges):
             return self
-        g = DerivationGraph(program=self.program,
-                            edges=[self.edges[i] for i in sorted(kept)],
-                            input_facts=self.input_facts,
-                            event_var=self.event_var, strata=self.strata,
-                            input_alias=self.input_alias)
-        g.rebuild_index()
-        g._cycles = [] if self.acyclic else \
-            [scc for scc in self.cycles() if scc[0] in seen]
-        g.acyclic = not g._cycles
-        return g
+        return DerivationGraph(
+            [self.edges[i] for i in sorted(kept)], self.input_facts,
+            self.event_var, self.strata,
+            [scc for scc in self._cycles if scc[0] in seen], self.input_alias)
 
     def topo_order(self) -> list[Atom]:
         """Topological order of the acyclic graph, inputs first.
 
-        Computed once per index: `rebuild_index` clears it.  Callers share
-        the list and must not change it.
+        Computed once.  Callers share the list and must not change it.
         """
         if self._topo is not None:
             return self._topo
@@ -440,18 +435,12 @@ def solve_standard(program: Program) -> DerivationGraph:
             if rid not in edges:
                 edges[rid] = Hyperedge(head, gpos, gneg, rid, rule.prob)
 
-    g = DerivationGraph(program=program, edges=list(edges.values()),
-                        input_facts=list(inputs), strata=strata)
-    g.rebuild_index()
-    _assign_events(g)
-    g.acyclic = not recursive or not g.cycles()
-    return g
-
-
-def _assign_events(g: DerivationGraph):
-    keys = sorted((e.rule_id for e in g.edges if e.prob < 1.0),
-                  key=lambda rid: (rid.rule_index, rid.subst))
-    g.event_var = {rid: i + 1 for i, rid in enumerate(keys)}
+    # one event variable per uncertain ground rule, in declaration order
+    uncertain = sorted((rid for rid, e in edges.items() if e.prob < 1.0),
+                       key=lambda rid: (rid.rule_index, rid.subst))
+    return DerivationGraph(list(edges.values()), list(inputs),
+                           {rid: i + 1 for i, rid in enumerate(uncertain)},
+                           strata, None if recursive else [])
 
 
 def _find_cycles(g: DerivationGraph) -> list[list[Atom]]:
@@ -513,7 +502,6 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
     """
     cycles = g.cycles()
     if not cycles:
-        g.acyclic = True
         return g
 
     in_cycle: dict[Atom, int] = {}
@@ -566,11 +554,8 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
 
     all_aliases = {**g.input_alias, **aliases}
     new_edges = _prune_false(new_edges, g.input_facts, all_aliases)
-    g2 = DerivationGraph(program=g.program, edges=new_edges,
-                         input_facts=list(g.input_facts), strata=g.strata,
-                         event_var=dict(g.event_var),
-                         input_alias=all_aliases)
-    g2.rebuild_index()
+    g2 = DerivationGraph(new_edges, g.input_facts, g.event_var, g.strata, [],
+                         all_aliases)
     try:
         g2.topo_order()
     except PralineError:

@@ -83,12 +83,12 @@ def enumerate_class_vertices(cs: ClassSystem) -> np.ndarray:
     return xs[np.unique(np.round(xs, 9), axis=0, return_index=True)[1]]
 
 
-def _dense_template(expr: ProbExpr, var_prob: dict[int, float]) -> np.ndarray:
+def _dense_template(expr: ProbExpr) -> np.ndarray:
     """The objective's value at every class assignment of its support."""
     dims = tuple(1 << expr.ctx.classes[c].size for c in expr.support)
     t = np.zeros(dims if dims else (1,))
     for cell, lam in expr.terms.items():
-        t[np.ix_(*expr.indices(cell))] = coeff_eval(lam, var_prob)
+        t[np.ix_(*expr.indices(cell))] = coeff_eval(lam, expr.ctx.var_prob)
     return t
 
 
@@ -111,7 +111,7 @@ def support_vertices(system: ConstraintSystem, support) -> list[np.ndarray]:
 def optimize_exact(expr: ProbExpr, system: ConstraintSystem) -> OptResult:
     """Exact range of the expression over the feasible distributions."""
     if not expr.support:
-        v = coeff_eval(expr.terms.get((), {}), system.var_prob)
+        v = coeff_eval(expr.terms.get((), {}), expr.ctx.var_prob)
         return OptResult(v, v, {}, {})
     verts = support_vertices(system, expr.support)
     total = 1
@@ -119,7 +119,7 @@ def optimize_exact(expr: ProbExpr, system: ConstraintSystem) -> OptResult:
         total *= len(vs)
         if total > GLOBAL_COMBO_CAP:
             raise DimensionCapExceeded(f"{total}+ vertex combinations")
-    vals = _dense_template(expr, system.var_prob)
+    vals = _dense_template(expr)
     for vs in verts:
         vals = np.tensordot(vals, vs, axes=([0], [1]))
     lo_idx = np.unravel_index(np.argmin(vals), vals.shape)

@@ -139,28 +139,35 @@ def _chunks(ws: WorldSpace):
         yield np.arange(lo, min(lo + step, ws.n_worlds), dtype=np.int64)
 
 
-def world_probs(targets: list[Atom], mus: list[list[np.ndarray]],
-                ws: WorldSpace) -> np.ndarray:
-    """P(target) for each sampled distribution; shape (len(mus), len(targets)).
+def _world_sums(ws: WorldSpace, mus: list[list[np.ndarray]], width: int,
+                columns) -> np.ndarray:
+    """Per distribution, the weighted sum over all worlds of the `width`
+    columns that `columns` reads off each chunk's fixpoint table.
 
     The deterministic skeleton is evaluated once per world and reweighted
-    for every distribution.
+    for every distribution; shape (len(mus), width).
     """
-    cols = np.array([ws.node_index[t] for t in targets], dtype=np.int64)
     flats = [np.concatenate([np.asarray(d, dtype=np.float64) for d in mu])
              if len(mu) else np.zeros(1) for mu in mus]
-    out = np.zeros((len(mus), len(targets)))
+    out = np.zeros((len(mus), width))
     e = ws.enc
     for ids in _chunks(ws):
         val = fixpoint_table(ids, len(ws.graph.nodes), e["input_bit"],
                              e["head"], e["ev_bit"], e["body_off"],
                              e["body_node"], e["body_sign"], e["strat_off"])
-        sel = val[:, cols].astype(np.float64)
+        sel = columns(val).astype(np.float64)
         for mi, flat in enumerate(flats):
             w = world_weights(ids, ws.cls_off, ws.cls_bits, ws.dist_off,
                               flat, ws.ev_prob, ws.n_fact_bits)
             out[mi] += w @ sel
     return out
+
+
+def world_probs(targets: list[Atom], mus: list[list[np.ndarray]],
+                ws: WorldSpace) -> np.ndarray:
+    """P(target) for each sampled distribution; shape (len(mus), len(targets))."""
+    cols = np.array([ws.node_index[t] for t in targets], dtype=np.int64)
+    return _world_sums(ws, mus, len(targets), lambda val: val[:, cols])
 
 
 def world_prob(target: Atom, mu: list[np.ndarray], ws: WorldSpace) -> float:
@@ -171,21 +178,8 @@ def pair_probs(a: Atom, b: Atom, mus: list[list[np.ndarray]],
                ws: WorldSpace) -> np.ndarray:
     """Columns P(a), P(b), P(a and b) per distribution; shape (len(mus), 3)."""
     ia, ib = ws.node_index[a], ws.node_index[b]
-    flats = [np.concatenate([np.asarray(d, dtype=np.float64) for d in mu])
-             if len(mu) else np.zeros(1) for mu in mus]
-    out = np.zeros((len(mus), 3))
-    e = ws.enc
-    for ids in _chunks(ws):
-        val = fixpoint_table(ids, len(ws.graph.nodes), e["input_bit"],
-                             e["head"], e["ev_bit"], e["body_off"],
-                             e["body_node"], e["body_sign"], e["strat_off"])
-        sel = np.stack([val[:, ia], val[:, ib],
-                        val[:, ia] & val[:, ib]], axis=1).astype(np.float64)
-        for mi, flat in enumerate(flats):
-            w = world_weights(ids, ws.cls_off, ws.cls_bits, ws.dist_off,
-                              flat, ws.ev_prob, ws.n_fact_bits)
-            out[mi] += w @ sel
-    return out
+    return _world_sums(ws, mus, 3, lambda val: np.stack(
+        [val[:, ia], val[:, ib], val[:, ia] & val[:, ib]], axis=1))
 
 
 def sample_feasible_mu(system: ConstraintSystem, rng: np.random.Generator,

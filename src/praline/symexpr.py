@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from praline.frontend import Atom, DimensionCapExceeded, Program, format_bits
-from praline.grounder import DerivationGraph, GroundRuleId
+from praline.grounder import DerivationGraph
 
 # largest template (full class assignments over the support) a node's
 # expression may have: the assignments the readers of its cells would fill
@@ -172,7 +172,6 @@ class ExprContext:
 
     classes: list[ClassSpec]
     fact_bit: dict[Atom, tuple[int, int]]  # fact -> (class position, bit)
-    event_var: dict[GroundRuleId, int]
     var_prob: dict[int, float]
 
     def template_size(self, support: tuple[int, ...]) -> int:
@@ -191,7 +190,7 @@ def context_from_program(program: Program, graph: DerivationGraph) -> ExprContex
         v = graph.event_var.get(e.rule_id)
         if v is not None:
             var_prob[v] = e.prob
-    return ExprContext(classes, dict(program.fact_class), dict(graph.event_var), var_prob)
+    return ExprContext(classes, program.fact_class, var_prob)
 
 
 @functools.cache

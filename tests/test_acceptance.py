@@ -108,7 +108,7 @@ def test_criterion_2_approximate_mode_fidelity():
     # with the sign analysis disabled every pair falls back to the
     # worst-case combinator, whose union bound is min(1, 0.252 + 0.288)
     program, work, ctx, system = pipeline(ROADS)
-    env = build_env(program, work, ctx, system)
+    env = build_env(work, ctx, system)
     worst = approx_bounds(env, assume_unknown=True)
     node = by_name(work.nodes)["path(1,7)"]
     assert worst[node].hi == pytest.approx(0.54, abs=1e-9)
@@ -166,7 +166,7 @@ def test_criterion_4_symbolic_golden():
 
 def test_criterion_5_correlation_golden():
     program, work, ctx, system = pipeline(ROADS)
-    env = build_env(program, work, ctx, system)
+    env = build_env(work, ctx, system)
     facts = by_name(ctx.fact_bit)
     assert infer_input_pair(env, facts["edge(2,5)"], facts["edge(2,6)"]) \
         is CorrType.POS
@@ -202,7 +202,7 @@ def test_criterion_6_soundness_property_suite():
     for seed in range(200):
         src = random_program_source(seed)
         program, work, ctx, system = pipeline(src)
-        env = build_env(program, work, ctx, system)
+        env = build_env(work, ctx, system)
         present = set(work.nodes)
         outputs = [q for q in program.queries if q in present]
         bounds = approx_bounds(env)

@@ -33,7 +33,7 @@ def env_for(program):
     work = graph if graph.acyclic else break_cycles(graph)
     ctx = context_from_program(program, work)
     system = gen_constraints(program, ctx)
-    return build_env(program, work, ctx, system)
+    return build_env(work, ctx, system)
 
 
 def by_name(bounds, name):

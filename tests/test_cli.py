@@ -130,6 +130,17 @@ class TestExitCodes:
         assert "--delta" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_unusable_samples_is_a_usage_error(self, roads_file, capsys,
+                                               value):
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle", roads_file, "--samples", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            "praline oracle: error: argument --samples")
+        assert "Traceback" not in err
+
 
 class TestOversizedClass:
     @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
@@ -290,6 +301,17 @@ class TestJsonReport:
                     str(tmp_path / "r.json")]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("target", ["", "missing/r.json"])
+    def test_unwritable_path_is_an_error(self, roads_file, tmp_path, capsys,
+                                         target):
+        # a directory, and a file in a directory that does not exist
+        code = run(["solve", roads_file, "--json", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "path(1,7): [" in captured.out
+        assert captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestDumps:

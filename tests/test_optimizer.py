@@ -115,7 +115,7 @@ class TestExactOptimization:
             dists = list(witness)
             for c, x in arg.items():
                 dists[c] = x
-            assert_allclose(eval_expr(obj, dists, system.var_prob), want,
+            assert_allclose(eval_expr(obj, dists, ctx.var_prob), want,
                             atol=1e-9)
 
     def test_pinned_class_gives_point(self, sixpack):

@@ -72,7 +72,7 @@ class TestWorldProb:
         obj = gen_objective(work, ctx, target)
         mus = sample_feasible_mu(system, rng, 20)
         got = world_probs([target], mus, ws)[:, 0]
-        want = [eval_expr(obj, mu, system.var_prob) for mu in mus]
+        want = [eval_expr(obj, mu, ctx.var_prob) for mu in mus]
         assert_allclose(got, want, atol=1e-12)
 
     def test_sampled_values_stay_in_exact_interval(self, roads, rng):

@@ -108,7 +108,7 @@ class TestSoundBounds:
     def test_exact_inside_approx_and_worlds_inside_exact(self, seed):
         src = random_program_source(seed)
         program, work, ctx, system = pipeline(src)
-        env = build_env(program, work, ctx, system)
+        env = build_env(work, ctx, system)
         m = approx_bounds(env)
         rng = np.random.default_rng(seed)
         mus = sample_feasible_mu(system, rng, 5)

@@ -48,7 +48,7 @@ def env_for(src_or_program):
     work = graph if graph.acyclic else break_cycles(graph)
     ctx = context_from_program(program, work)
     system = gen_constraints(program, ctx)
-    return build_env(program, work, ctx, system)
+    return build_env(work, ctx, system)
 
 
 def node(env, name):

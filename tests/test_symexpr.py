@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from praline import Atom, parse, symexpr
-from praline.cli import solve_source
+from praline.cli import _pipeline, solve_source
 from praline.frontend import DimensionCapExceeded
 from praline.grounder import break_cycles, solve_standard
+from praline.oracle import build_world_space, world_probs
 from praline.symexpr import (
     add,
     coeff_eval,
@@ -265,3 +266,37 @@ class TestSparseMul:
         assert f.mode == "exact"
         assert (f.lower, f.upper) == \
             pytest.approx((0.0, 0.0036353523045133253), abs=1e-12)
+
+
+# Hybrid facts: declared inputs that are also rule heads.  In the second
+# program the input r(1,1) lies inside the recursive component of r/2.
+HYBRID = "0.5::a. 0.4::b. 0.9::a :- b. query(a)."
+HYBRID_IN_CYCLE = """\
+0.5::e(1,2). 0.5::e(2,1). 0.4::r(1,1). 0.7::e(2,1)|e(1,2).
+r(X,Y) :- e(X,Y).
+0.8::r(X,Z) :- r(X,Y), r(Y,Z).
+s :- \\+r(2,2), e(1,2).
+query(r(1,1)). query(s).
+"""
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx", "delta"])
+class TestHybridFacts:
+    def test_input_is_one_part_of_the_disjunction(self, mode):
+        # P(a) = 1 - 0.5 * (1 - 0.9 * 0.4)
+        (f,) = solve_source(HYBRID, mode=mode).facts
+        assert (f.lower, f.upper) == pytest.approx((0.68, 0.68), abs=1e-12)
+
+    def test_input_inside_a_recursive_component(self, mode):
+        # every class is pinned to one point, where enumeration gives P
+        prog = parse(HYBRID_IN_CYCLE)
+        work, _, system, _ = _pipeline(prog)
+        assert all(len(cs.vertices()) == 1 for cs in system.classes)
+        mu = [cs.feasible_point() for cs in system.classes]
+        (want,) = world_probs(prog.queries, [mu],
+                              build_world_space(prog, work))
+        assert want == pytest.approx([0.568, 0.22], abs=1e-12)
+        got = {f.atom: (f.lower, f.upper)
+               for f in solve_source(HYBRID_IN_CYCLE, mode=mode).facts}
+        for q, p in zip(prog.queries, want):
+            assert got[str(q)] == pytest.approx((p, p), abs=1e-12)
