@@ -274,16 +274,18 @@ def _delta(text: str) -> float:
     return value
 
 
-def _samples(text: str) -> int:
-    """A `--samples` value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least 1, got {text!r}")
-    return value
+def _int_at_least(least: int):
+    """An argparse type for an integer of at least `least`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {least}, got {text!r}")
+        return value
+    return parse
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="brute-force possible-world cross-check")
     po.add_argument("file", help="program file")
     po.add_argument("--query", action="append", metavar="PAT")
-    po.add_argument("--samples", type=_samples, default=50,
+    po.add_argument("--samples", type=_int_at_least(1), default=50,
                     help="feasible distributions to sample (default 50)")
-    po.add_argument("--seed", type=int, default=0)
+    po.add_argument("--seed", type=_int_at_least(0), default=0)
     return p
 
 

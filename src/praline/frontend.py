@@ -12,13 +12,19 @@ The language is ProbLog-flavored:
 
 Negation is spelled ``\\+`` and is allowed in rule bodies and in the givens
 of a conditional declaration.  Comments run from ``%`` to end of line.
+
+The tokenizer makes one regex match per token, which also takes the
+whitespace and comments before it, and keeps the tokens as three plain
+lists: kinds, texts and start offsets.  A `line:col` is worked out from an
+offset only for a `ParseError`.  One parse builds one `Atom` per distinct
+functor and arguments, and every mention of that atom shares it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 Term = Union[str, int]  # lowercase constant / integer constant / uppercase variable
 
@@ -189,189 +195,201 @@ class Program:
         return list(seen)
 
 
+# One match per token: the whitespace and comments before it, then the
+# token.  Every position matches, without backtracking (`bad` takes any
+# other character, `eof` the end), so finditer walks the tokens back to back.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|%[^\n]*)
-  | (?P<num>\d+\.\d+|\.\d+|\d+)
-  | (?P<name>[a-z][A-Za-z0-9_]*)
-  | (?P<var>[A-Z_][A-Za-z0-9_]*)
-  | (?P<op>::|:-|\\\+|[|,().])
+    (?:\s+|%[^\n]*)*
+    (?: (?P<num>\d+\.\d+|\.\d+|\d+)
+      | (?P<name>[a-z][A-Za-z0-9_]*)
+      | (?P<var>[A-Z_][A-Za-z0-9_]*)
+      | (?P<op>::|:-|\\\+|[|,().])
+      | (?P<eof>\Z)
+      | (?P<bad>.) )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[_Tok]:
-    toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind != "ws":
-            toks.append(_Tok(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
-    return toks
-
-
 class _Parser:
+    """Recursive descent over the parallel token lists kinds, texts, starts.
+
+    `parse_atom` returns the atom already built for the same functor and
+    arguments, so a rule's body atom is the head atom of the rule that
+    derives it.
+    """
+
     def __init__(self, src: str):
-        self.toks = _tokenize(src)
+        self.src = src
+        kinds: list[str] = []
+        texts: list[str] = []
+        starts: list[int] = []
+        for m in _TOKEN_RE.finditer(src):
+            kind = m.lastgroup
+            kinds.append(kind)
+            texts.append(m[kind])
+            starts.append(m.start(kind))
+            if kind == "eof":
+                break
+        if "bad" in kinds:
+            i = kinds.index("bad")
+            raise ParseError(f"unexpected character {texts[i]!r}",
+                             *self._line_col(starts[i]))
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
         self.i = 0
+        self.atoms: dict[tuple[str, tuple[Term, ...]], Atom] = {}
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
+    def _line_col(self, pos: int) -> tuple[int, int]:
+        return (self.src.count("\n", 0, pos) + 1,
+                pos - self.src.rfind("\n", 0, pos))
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def error(self, msg: str, i: int) -> ParseError:
+        """A ParseError at token i."""
+        return ParseError(msg, *self._line_col(self.starts[i]))
 
-    def expect(self, text: str) -> _Tok:
-        t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, got {t.text!r}", t.line, t.col)
-        return t
+    def peek(self) -> str:
+        return self.texts[self.i]
 
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def expect(self, text: str):
+        i = self.i
+        if self.texts[i] != text:
+            raise self.error(f"expected {text!r}, got {self.texts[i]!r}", i)
+        self.i = i + 1
 
     def parse_program(self) -> Program:
         prog = Program()
-        while self.peek().kind != "eof":
+        kinds = self.kinds
+        while kinds[self.i] != "eof":
             self.parse_statement(prog)
         return prog
 
     def parse_statement(self, prog: Program):
-        t = self.peek()
-        if t.kind == "num":
-            prob_tok = self.next()
-            prob = float(prob_tok.text)
+        i = self.i
+        kind = self.kinds[i]
+        text = self.texts[i]
+        if kind == "num":
+            self.i += 1
+            prob = float(text)
             self.expect("::")
-            if not (0.0 <= prob <= 1.0) and self.peek().text != "Class":
+            if not (0.0 <= prob <= 1.0) and self.peek() != "Class":
                 raise ProbabilityRangeError(
-                    f"probability {prob_tok.text} out of [0,1] at line {prob_tok.line}"
+                    f"probability {text} out of [0,1] at line "
+                    f"{self._line_col(self.starts[i])[0]}"
                 )
-            self.parse_clause(prog, prob, prob_tok)
-        elif t.kind == "name" and t.text == "corr":
-            self.next()
+            self.parse_clause(prog, prob, i)
+        elif kind == "name" and text == "corr":
+            self.i += 1
             self.expect("(")
             atoms = [self.parse_atom()]
-            while self.peek().text == ",":
-                self.next()
+            while self.peek() == ",":
+                self.i += 1
                 atoms.append(self.parse_atom())
             self.expect(")")
             self.expect(".")
             self._require_ground(atoms, "corr declaration")
             prog.corr_decls.append(tuple(atoms))
-        elif t.kind == "name" and t.text == "query":
-            self.next()
+        elif kind == "name" and text == "query":
+            self.i += 1
             self.expect("(")
             atom = self.parse_atom()
             self.expect(")")
             self.expect(".")
             prog.queries.append(atom)
-        elif t.kind == "name":
-            self.parse_clause(prog, 1.0, t)
+        elif kind == "name":
+            self.parse_clause(prog, 1.0, i)
         else:
-            self.fail(f"unexpected token {t.text!r}")
+            raise self.error(f"unexpected token {text!r}", i)
 
-    def parse_clause(self, prog: Program, prob: float, at: _Tok):
-        t = self.peek()
-        if t.kind == "var" and t.text == "Class":
+    def parse_clause(self, prog: Program, prob: float, at: int):
+        if self.kinds[self.i] == "var" and self.peek() == "Class":
             # explicit class assignment: k :: Class(fact).
-            self.next()
+            self.i += 1
             self.expect("(")
             atom = self.parse_atom()
             self.expect(")")
             self.expect(".")
             if prob != int(prob) or prob < 0:
-                raise ParseError(
-                    f"class id must be a nonnegative integer, got {prob}", at.line, at.col
-                )
+                raise self.error(
+                    f"class id must be a nonnegative integer, got {prob}", at)
             self._require_ground([atom], "class declaration")
             prog.class_decls.append((int(prob), atom))
             return
         head = self.parse_atom()
-        nxt = self.peek().text
+        nxt = self.peek()
         if nxt == ":-":
-            self.next()
+            self.i += 1
             body = self.parse_literals()
             self.expect(".")
             prog.rules.append(Rule(head, tuple(body), prob))
         elif nxt == "|":
-            self.next()
+            self.i += 1
             givens = self.parse_literals()
             self.expect(".")
             decl = InputProbDecl(head, tuple(givens), prob)
             self._require_ground(list(decl.atoms()), "probability declaration")
             prog.input_probs.append(decl)
         elif nxt == ".":
-            self.next()
+            self.i += 1
             decl = InputProbDecl(head, (), prob)
             self._require_ground([head], "probability declaration")
             prog.input_probs.append(decl)
         else:
-            self.fail(f"expected '.', '|' or ':-', got {nxt!r}")
+            raise self.error(f"expected '.', '|' or ':-', got {nxt!r}", self.i)
 
     def parse_literals(self) -> list[Literal]:
         lits = [self.parse_literal()]
-        while self.peek().text == ",":
-            self.next()
+        while self.peek() == ",":
+            self.i += 1
             lits.append(self.parse_literal())
         return lits
 
     def parse_literal(self) -> Literal:
         neg = False
-        if self.peek().text == "\\+":
-            self.next()
+        if self.peek() == "\\+":
+            self.i += 1
             neg = True
         return Literal(self.parse_atom(), neg)
 
     def parse_atom(self) -> Atom:
-        t = self.next()
-        if t.kind not in ("name", "var"):
-            raise ParseError(f"expected an atom, got {t.text!r}", t.line, t.col)
-        if t.kind == "var":
-            raise ParseError(f"atom cannot start with a variable: {t.text!r}", t.line, t.col)
-        if self.peek().text != "(":
-            return Atom(t.text)
-        self.next()
-        args = [self.parse_term()]
-        while self.peek().text == ",":
-            self.next()
-            args.append(self.parse_term())
-        self.expect(")")
-        return Atom(t.text, tuple(args))
+        i = self.i
+        kind = self.kinds[i]
+        functor = self.texts[i]
+        if kind != "name":
+            if kind == "var":
+                raise self.error(
+                    f"atom cannot start with a variable: {functor!r}", i)
+            raise self.error(f"expected an atom, got {functor!r}", i)
+        self.i = i + 1
+        if self.texts[i + 1] == "(":
+            self.i = i + 2
+            args = [self.parse_term()]
+            while self.peek() == ",":
+                self.i += 1
+                args.append(self.parse_term())
+            self.expect(")")
+            key = (functor, tuple(args))
+        else:
+            key = (functor, ())
+        atom = self.atoms.get(key)
+        if atom is None:
+            atom = self.atoms[key] = Atom(*key)
+        return atom
 
     def parse_term(self) -> Term:
-        t = self.next()
-        if t.kind == "num":
-            if "." in t.text:
-                raise ParseError("float terms are not supported", t.line, t.col)
-            return int(t.text)
-        if t.kind in ("name", "var"):
-            return t.text
-        raise ParseError(f"expected a term, got {t.text!r}", t.line, t.col)
+        i = self.i
+        self.i = i + 1
+        kind = self.kinds[i]
+        text = self.texts[i]
+        if kind == "num":
+            if "." in text:
+                raise self.error("float terms are not supported", i)
+            return int(text)
+        if kind == "name" or kind == "var":
+            return text
+        raise self.error(f"expected a term, got {text!r}", i)
 
     def _require_ground(self, atoms: list[Atom], what: str):
         for a in atoms:

@@ -7,8 +7,14 @@ derivable in any possible world, so the recorded graph covers all
 derivations.  The evaluation is semi-naive: each round joins only through
 the atoms the previous round derived, and a per-stratum watch index, from
 each predicate to the rules with a positive literal on it, limits a round
-to the rules its delta can fire.  break_cycles unfolds recursive components
-into depth-indexed copies so that downstream passes see an acyclic graph.
+to the rules its delta can fire.  It is the only pass over the rules: every
+firing over the final model is met in the round that derives the last of
+its body atoms, and is recorded then.  The edges are sorted afterwards into
+the order of a rule-by-rule join over the final model: by rule index, then
+by the insertion ranks of the matched body atoms, literal by literal.  Each
+ground atom is one shared instance, in the model and in every edge.
+break_cycles unfolds recursive components into depth-indexed copies so
+that downstream passes see an acyclic graph.
 
 A `DerivationGraph` is complete when built and is never changed.  Its
 components are searched for once, when `solve_standard` grounds a program
@@ -188,6 +194,11 @@ class DerivationGraph:
 
 
 def _match(pattern: Atom, ground: Atom, subst: dict[str, Term]) -> Optional[dict[str, Term]]:
+    """subst extended to make pattern equal ground, or None.
+
+    subst is copied only when the match binds a variable, and returned
+    itself otherwise, so callers must not change what it returns.
+    """
     if pattern.functor != ground.functor or len(pattern.args) != len(ground.args):
         return None
     out = subst
@@ -202,7 +213,7 @@ def _match(pattern: Atom, ground: Atom, subst: dict[str, Term]) -> Optional[dict
                 return None
         elif p != g:
             return None
-    return out if out is not subst else dict(subst)
+    return out
 
 
 def _apply(atom: Atom, subst: dict[str, Term]) -> Atom:
@@ -321,13 +332,14 @@ class _Db:
     def __init__(self):
         self.by_pred: dict[tuple[str, int], list[Atom]] = {}
         # a dict, not a set: insertion order keeps grounding order, and the
-        # graph it builds, the same under every hash seed
-        self.all: dict[Atom, None] = {}
+        # graph it builds, the same under every hash seed.  Each atom maps
+        # to itself, so a lookup finds the one instance the graph shares.
+        self.all: dict[Atom, Atom] = {}
 
     def add(self, a: Atom) -> bool:
         if a in self.all:
             return False
-        self.all[a] = None
+        self.all[a] = a
         self.by_pred.setdefault((a.functor, len(a.args)), []).append(a)
         return True
 
@@ -335,51 +347,75 @@ class _Db:
         return self.by_pred.get((pattern.functor, len(pattern.args)), [])
 
 
-def _join(literals: list[Atom], db: _Db, subst: dict[str, Term],
-          pinned: Optional[tuple[int, Atom]] = None) -> Iterator[dict[str, Term]]:
-    """All substitutions grounding the positive literals against db.
+def _join(pos: list[Atom], k: int, s: dict[str, Term], db: _Db, pin: int,
+          pinned: Atom, matched: list[Atom], out: list) -> None:
+    """Append (substitution, matched atoms) for each grounding of pos[k:].
 
-    pinned = (position, atom) forces one literal to match a specific atom,
-    which is how the semi-naive delta is threaded through.  A literal that
-    the bindings so far make ground is looked up, not matched against every
-    atom of its predicate.
+    pos[pin] matches only the atom pinned, which is how the semi-naive
+    delta is threaded through; the others match atoms of db.  A literal
+    that the bindings so far make ground is looked up, not matched against
+    every atom of its predicate.
     """
-    def rec(i: int, s: dict[str, Term]) -> Iterator[dict[str, Term]]:
-        if i == len(literals):
-            yield s
-            return
-        lit = _apply(literals[i], s)
-        if pinned is not None and i == pinned[0]:
-            cands = (pinned[1],)
-        elif lit.is_ground:
-            cands = (lit,) if lit in db.all else ()
+    if k == len(pos):
+        out.append((s, tuple(matched)))
+        return
+    if k == pin:
+        lit, cands = pos[k], (pinned,)
+    else:
+        lit = _apply(pos[k], s)
+        if lit.is_ground:
+            g = db.all.get(lit)
+            cands = () if g is None else (g,)
         else:
             cands = db.candidates(lit)
-        for g in cands:
-            s2 = _match(lit, g, s)
-            if s2 is not None:
-                yield from rec(i + 1, s2)
+    for g in cands:
+        s2 = _match(lit, g, s)
+        if s2 is not None:
+            matched.append(g)
+            _join(pos, k + 1, s2, db, pin, pinned, matched, out)
+            matched.pop()
 
-    yield from rec(0, subst)
 
-
-def _fire(rule: Rule, pos: list[Atom], new: _Db, db: _Db,
-          found: dict[Atom, None]):
-    """Add to found the unknown heads of rule's firings through the delta.
+def _fire(rule: Rule, index: int, pos: list[Atom], new: _Db, db: _Db,
+          firings: dict, found: dict[Atom, Atom]):
+    """Record rule's firings through the delta; collect their unknown heads.
 
     Each firing joins one positive literal against the delta atoms in new
-    and the others against db, once for every literal position.
+    and the others against db, once for every literal position.  A firing
+    met for the first time goes into firings, keyed by the rule's index and
+    its matched atoms, with its substitution and its head.  The head is the
+    instance db or found already holds, so the graph shares one per atom.
     """
+    out: list = []
     for j in range(len(pos)):
         for d in new.candidates(pos[j]):
-            for s in _join(pos, db, {}, pinned=(j, d)):
-                head = _apply(rule.head, s)
-                if head not in db.all:
-                    found[head] = None
+            _join(pos, 0, {}, db, j, d, [], out)
+    for s, matched in out:
+        key = (index, matched)
+        if key in firings:
+            continue
+        head = _apply(rule.head, s)
+        g = db.all.get(head)
+        if g is None:
+            g = found.setdefault(head, head)
+        firings[key] = (s, g)
+
+
+def _subst_order(rid: GroundRuleId):
+    """Sort key of a ground rule: integer constants before names."""
+    return rid.rule_index, tuple((v, isinstance(t, str), t)
+                                 for v, t in rid.subst)
 
 
 def solve_standard(program: Program) -> DerivationGraph:
-    """Ground the program and record every rule firing as a hyperedge."""
+    """Ground the program and record every rule firing as a hyperedge.
+
+    One semi-naive pass computes the model and meets every firing over it;
+    the first meeting of each is kept.  The edges are then put in the order
+    of a join over the final model, rule by rule with each literal's
+    candidates in insertion order: by rule index, then by the insertion
+    ranks of the matched atoms.
+    """
     for r in program.rules:
         check_safety(r)
     strata, recursive = stratify(program)
@@ -399,6 +435,7 @@ def solve_standard(program: Program) -> DerivationGraph:
     # a literal only meets the delta atoms of its own predicate.  The watch
     # index maps a predicate to the rules with a positive literal on it, so
     # a round visits only the rules its delta can fire, in rule order.
+    firings: dict[tuple[int, tuple[Atom, ...]], tuple[dict[str, Term], Atom]] = {}
     for stratum_rules in rules_by_stratum:
         bodies = [[l.atom for l in rule.body if not l.negated]
                   for _, rule in stratum_rules]
@@ -407,38 +444,39 @@ def solve_standard(program: Program) -> DerivationGraph:
             for a in pos:
                 watch.setdefault((a.functor, len(a.args)), []).append(k)
         delta = list(db.all)
-        for (_, rule), pos in zip(stratum_rules, bodies):
+        for (i, rule), pos in zip(stratum_rules, bodies):
             if not pos:
                 head = _apply(rule.head, {})
                 if db.add(head):
                     delta.append(head)
+                firings[(i, ())] = ({}, db.all[head])
         while delta:
             new = _Db()
             for d in delta:
                 new.add(d)
-            found: dict[Atom, None] = {}
+            found: dict[Atom, Atom] = {}
             for k in sorted({k for key in new.by_pred
                              for k in watch.get(key, ())}):
-                _fire(stratum_rules[k][1], bodies[k], new, db, found)
+                i, rule = stratum_rules[k]
+                _fire(rule, i, bodies[k], new, db, firings, found)
             delta = [a for a in found if db.add(a)]
 
-    # enumeration pass: every firing over the final model, in rule order
-    edges: dict[GroundRuleId, Hyperedge] = {}
-    for i, rule in enumerate(program.rules):
-        pos = [l.atom for l in rule.body if not l.negated]
-        neg = [l.atom for l in rule.body if l.negated]
-        for s in _join(pos, db, {}):
-            head = _apply(rule.head, s)
-            gpos = tuple(_apply(a, s) for a in pos)
-            gneg = tuple(a2 for a in neg if (a2 := _apply(a, s)) in db.all)
-            rid = GroundRuleId(i, tuple(sorted(s.items())))
-            if rid not in edges:
-                edges[rid] = Hyperedge(head, gpos, gneg, rid, rule.prob)
+    rank = {a: n for n, a in enumerate(db.all)}
+    edges: list[Hyperedge] = []
+    for key in sorted(firings, key=lambda key: (key[0], [rank[a] for a in key[1]])):
+        i, matched = key
+        s, head = firings[key]
+        rule = program.rules[i]
+        gneg = tuple(g for l in rule.body if l.negated
+                     if (g := db.all.get(_apply(l.atom, s))) is not None)
+        edges.append(Hyperedge(head, matched, gneg,
+                               GroundRuleId(i, tuple(sorted(s.items()))),
+                               rule.prob))
 
     # one event variable per uncertain ground rule, in declaration order
-    uncertain = sorted((rid for rid, e in edges.items() if e.prob < 1.0),
-                       key=lambda rid: (rid.rule_index, rid.subst))
-    return DerivationGraph(list(edges.values()), list(inputs),
+    uncertain = sorted((e.rule_id for e in edges if e.prob < 1.0),
+                       key=_subst_order)
+    return DerivationGraph(edges, list(inputs),
                            {rid: i + 1 for i, rid in enumerate(uncertain)},
                            strata, None if recursive else [])
 

@@ -32,7 +32,6 @@ class WorldSpace:
     graph: DerivationGraph
     n_fact_bits: int
     n_events: int
-    fact_bit: dict[Atom, int]
     node_index: dict[Atom, int]
     cls_off: np.ndarray
     cls_bits: np.ndarray
@@ -126,7 +125,7 @@ def build_world_space(program: Program, graph: DerivationGraph) -> WorldSpace:
         "body_sign": np.array(body_sign, dtype=np.uint8),
         "strat_off": np.array(strat_edges, dtype=np.int64),
     }
-    return WorldSpace(graph, offset, n_events, fact_bit, node_index,
+    return WorldSpace(graph, offset, n_events, node_index,
                       np.array(cls_off, dtype=np.int64),
                       np.array(cls_bits, dtype=np.int64),
                       np.array(dist_off, dtype=np.int64),

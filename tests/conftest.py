@@ -217,3 +217,26 @@ def random_program_source(seed, singleton_only=False):
         if check_feasible(gen_constraints(program, ctx)):
             return src
     raise AssertionError(f"no feasible program for seed {seed}")
+
+
+def layered_source(width=200, depth=25, class_size=14, extra=6):
+    """The criterion-9 program: `depth` layers of `width` rules each."""
+    lines = []
+    names = [f"f{i}" for i in range(class_size)]
+    lines += [f"0.5::{n}." for n in names]
+    lines.append("corr(" + ", ".join(names) + ").")
+    others = [f"g{i}" for i in range(extra)]
+    lines += [f"0.{55 + i:02d}::{n}." for i, n in enumerate(others)]
+    prev = names + others
+    for layer in range(depth):
+        cur = []
+        for j in range(width):
+            a = prev[j % len(prev)]
+            b = prev[(3 * j + 7) % len(prev)]
+            head = f"n{layer}_{j}"
+            prob = "0.9" if j % 5 == 0 else "1"
+            lines.append(f"{prob}::{head} :- {a}, {b}.")
+            cur.append(head)
+        prev = cur
+    lines.append(f"query(n{depth - 1}_0).")
+    return "\n".join(lines) + "\n"

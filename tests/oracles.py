@@ -5,6 +5,13 @@ from itertools import combinations, product
 
 import numpy as np
 
+from praline.frontend import Atom, is_var
+from praline.grounder import (
+    DerivationGraph,
+    GroundRuleId,
+    Hyperedge,
+    stratify,
+)
 from praline.symexpr import (
     coeff_add,
     coeff_joint,
@@ -182,3 +189,100 @@ def dense_neg(e):
         if out:
             terms[psi] = out
     return e.support, terms
+
+
+def unify(pattern, atom, s):
+    """s extended to make pattern equal atom, as a new dict, or None."""
+    if (pattern.functor, len(pattern.args)) != (atom.functor, len(atom.args)):
+        return None
+    s = dict(s)
+    for p, a in zip(pattern.args, atom.args):
+        if is_var(p):
+            if s.setdefault(p, a) != a:
+                return None
+        elif p != a:
+            return None
+    return s
+
+
+def substitute(atom, s):
+    return Atom(atom.functor,
+                tuple(s.get(a, a) if is_var(a) else a for a in atom.args))
+
+
+def _ordered_join(pos, by_pred, s, k=0, pinned=(-1, None)):
+    """Substitutions grounding pos[k:], literal by literal.
+
+    Each literal meets the atoms of its predicate in insertion order, except
+    that pos[pinned[0]] meets only the atom pinned[1].
+    """
+    if k == len(pos):
+        yield s
+        return
+    lit = pos[k]
+    cands = ([pinned[1]] if k == pinned[0]
+             else by_pred.get((lit.functor, len(lit.args)), []))
+    for a in cands:
+        s2 = unify(lit, a, s)
+        if s2 is not None:
+            yield from _ordered_join(pos, by_pred, s2, k + 1, pinned)
+
+
+def reference_ground(program):
+    """The derivation graph by two passes over the rules.
+
+    A semi-naive fixpoint per stratum computes the model; then every rule
+    is joined again over the final model, rule by rule and each literal's
+    atoms in the order the fixpoint found them, and the first firing of
+    each ground rule is its edge.  Events are numbered by rule index, then
+    by the sorted substitution.
+    """
+    strata, _ = stratify(program)
+    model = {}
+    by_pred = {}
+
+    def add(a):
+        if a in model:
+            return False
+        model[a] = None
+        by_pred.setdefault((a.functor, len(a.args)), []).append(a)
+        return True
+
+    for f in program.input_facts:
+        add(f)
+    for level in range(max(strata.values(), default=0) + 1):
+        rules = [(r, [l.atom for l in r.body if not l.negated])
+                 for r in program.rules if strata[r.head.functor] == level]
+        delta = list(model)
+        for r, pos in rules:
+            if not pos and add(r.head):
+                delta.append(r.head)
+        while delta:
+            new = {}
+            for d in delta:
+                new.setdefault((d.functor, len(d.args)), []).append(d)
+            found = {}
+            for r, pos in rules:
+                for j, lit in enumerate(pos):
+                    for d in new.get((lit.functor, len(lit.args)), ()):
+                        for s in _ordered_join(pos, by_pred, {}, 0, (j, d)):
+                            found.setdefault(substitute(r.head, s))
+            delta = [a for a in found if add(a)]
+
+    edges = {}
+    for i, r in enumerate(program.rules):
+        pos = [l.atom for l in r.body if not l.negated]
+        neg = [l.atom for l in r.body if l.negated]
+        for s in _ordered_join(pos, by_pred, {}):
+            rid = GroundRuleId(i, tuple(sorted(s.items())))
+            if rid not in edges:
+                edges[rid] = Hyperedge(
+                    substitute(r.head, s),
+                    tuple(substitute(a, s) for a in pos),
+                    tuple(n for a in neg if (n := substitute(a, s)) in model),
+                    rid, r.prob)
+    uncertain = sorted((rid for rid, e in edges.items() if e.prob < 1.0),
+                       key=lambda rid: (rid.rule_index, rid.subst))
+    return DerivationGraph(list(edges.values()), program.input_facts,
+                           {rid: n + 1 for n, rid in enumerate(uncertain)},
+                           strata, None)

@@ -37,7 +37,13 @@ from praline.symexpr import (
     neg,
 )
 
-from conftest import CONFLICT, ROADS, SIXPACK, random_program_source
+from conftest import (
+    CONFLICT,
+    ROADS,
+    SIXPACK,
+    layered_source,
+    random_program_source,
+)
 
 
 def pipeline(src):
@@ -316,30 +322,8 @@ def test_criterion_8_infeasibility(tmp_path, capsys):
     print("criterion 8 (infeasible program refused): PASS")
 
 
-def _layered_source(width=200, depth=25, class_size=14, extra=6):
-    lines = []
-    names = [f"f{i}" for i in range(class_size)]
-    lines += [f"0.5::{n}." for n in names]
-    lines.append("corr(" + ", ".join(names) + ").")
-    others = [f"g{i}" for i in range(extra)]
-    lines += [f"0.{55 + i:02d}::{n}." for i, n in enumerate(others)]
-    prev = names + others
-    for layer in range(depth):
-        cur = []
-        for j in range(width):
-            a = prev[j % len(prev)]
-            b = prev[(3 * j + 7) % len(prev)]
-            head = f"n{layer}_{j}"
-            prob = "0.9" if j % 5 == 0 else "1"
-            lines.append(f"{prob}::{head} :- {a}, {b}.")
-            cur.append(head)
-        prev = cur
-    lines.append(f"query(n{depth - 1}_0).")
-    return "\n".join(lines) + "\n"
-
-
 def test_criterion_9_scale_smoke():
-    src = _layered_source()
+    src = layered_source()
     program = parse(src)
 
     t0 = time.perf_counter()
@@ -358,7 +342,7 @@ def test_criterion_9_scale_smoke():
 def test_scale_objective_is_one_cell():
     # every derivation of the query is a conjunction of the same input
     # bits, so its objective is one cell, not one term per assignment
-    program = parse(_layered_source())
+    program = parse(layered_source())
     graph = solve_standard(program)
     ctx = context_from_program(program, graph)
     t0 = time.perf_counter()
@@ -372,7 +356,7 @@ def test_semi_naive_rounds_visit_only_watching_rules(monkeypatch):
     # each of the 25 rounds derives one layer, so a round that visited every
     # rule would make about 26 visits per rule
     import praline.grounder as grounder
-    program = parse(_layered_source())
+    program = parse(layered_source())
     visits = []
     fire = grounder._fire
 

@@ -141,6 +141,25 @@ class TestExitCodes:
             "praline oracle: error: argument --samples")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_unusable_seed_is_a_usage_error(self, roads_file, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["oracle", roads_file, "--seed", value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].startswith(
+            "praline oracle: error: argument --seed")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
+    def test_integer_and_name_constants_in_one_argument(self, tmp_path,
+                                                         capsys, mode):
+        f = tmp_path / "mixed.pl"
+        f.write_text("0.5::e(1). 0.5::e(a). 0.9::p(X) :- e(X). "
+                     "query(p(1)).\n")
+        assert run(["solve", str(f), "--mode", mode]) == 0
+        assert interval_of(capsys.readouterr().out, "p(1)") == (0.45, 0.45)
+
 
 class TestOversizedClass:
     @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])

@@ -10,6 +10,8 @@ from praline import (
 )
 from praline.frontend import format_bits, parse_bits
 
+from conftest import layered_source
+
 
 def test_parse_marginal():
     prog = parse("0.7::edge(5,7).")
@@ -53,6 +55,54 @@ def test_parse_errors():
         parse("0.5::f(X).")  # declarations must be ground
     with pytest.raises(ParseError):
         parse("@@@")
+
+
+@pytest.mark.parametrize("src, error, message", [
+    ("0.5::a.\n  % note\n   @b.", ParseError,
+     "parse error at 3:4: unexpected character '@'"),
+    ("0.5::a.%c\n%d\n  0.3::b!", ParseError,
+     "parse error at 3:9: unexpected character '!'"),
+    ("0.5::a", ParseError,
+     "parse error at 1:7: expected '.', '|' or ':-', got ''"),
+    ("query(a", ParseError, "parse error at 1:8: expected ')', got ''"),
+    ("0.5::a.\nX(1) :- a.", ParseError,
+     "parse error at 2:1: unexpected token 'X'"),
+    ("corr(a, X(1)).", ParseError,
+     "parse error at 1:9: atom cannot start with a variable: 'X'"),
+    ("0.5::f(1.5).", ParseError,
+     "parse error at 1:8: float terms are not supported"),
+    ("2 :: Class(a). 1.5::Class(b).", ParseError,
+     "parse error at 1:16: class id must be a nonnegative integer, got 1.5"),
+    ("1.5::a.", ProbabilityRangeError,
+     "probability 1.5 out of [0,1] at line 1"),
+    ("0.5::a.\n\n  2::b.", ProbabilityRangeError,
+     "probability 2 out of [0,1] at line 3"),
+    (":- a.", ParseError, "parse error at 1:1: unexpected token ':-'"),
+    ("0.5::a.\n\n  q(X) :- .", ParseError,
+     "parse error at 3:11: expected an atom, got '.'"),
+    ("a(1,).", ParseError, "parse error at 1:5: expected a term, got ')'"),
+], ids=["bad_char_after_comment", "bad_char_after_comments", "missing_period",
+        "unclosed_query", "variable_functor", "variable_functor_in_corr",
+        "float_term", "bad_class_id", "probability_range",
+        "probability_range_line", "leading_neck", "empty_body",
+        "missing_term"])
+def test_parse_error_messages(src, error, message):
+    with pytest.raises(error) as exc:
+        parse(src)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_atoms_are_shared():
+    # one Atom per distinct atom: a rule's body atom is the head of the
+    # rule, or the input declaration, that defines it
+    prog = parse(layered_source())
+    defined = {r.head: r.head for r in prog.rules}
+    defined.update((d.head, d.head) for d in prog.input_probs)
+    body = [l.atom for r in prog.rules for l in r.body]
+    assert len(body) == 2 * len(prog.rules)
+    assert all(a is defined[a] for a in body)
+    assert len({id(a) for a in body}) == len(set(body))
 
 
 def test_comments_and_whitespace():

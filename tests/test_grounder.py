@@ -6,7 +6,6 @@ import praline.grounder as grounder
 from praline import Atom, NonStratifiedError, parse
 from praline.approx import approx_bounds
 from praline.cli import _pipeline
-from praline.frontend import is_var
 from praline.grounder import (
     GroundRuleId,
     Hyperedge,
@@ -17,7 +16,8 @@ from praline.grounder import (
 )
 
 from conftest import CHAIN as CYCLIC_CHAIN
-from conftest import ROADS, random_program_source
+from conftest import ROADS, SIXPACK, random_program_source
+from oracles import reference_ground, substitute, unify
 
 
 def ground(src):
@@ -54,6 +54,14 @@ def test_event_var_order_is_declaration_order():
     g = ground("0.5::a. 0.5::b. 0.9::x :- a. 0.8::y :- b. 0.7::z :- x, y.")
     by_rule = {rid.rule_index: v for rid, v in g.event_var.items()}
     assert by_rule == {0: 1, 1: 2, 2: 3}
+
+
+def test_event_numbering_puts_integers_before_names():
+    # an argument that holds both kinds of constant must not compare an
+    # int with a str; the integer's event comes first
+    g = ground("0.5::e(a). 0.5::e(1). 0.9::p(X) :- e(X). query(p(1)).")
+    assert [(str(rid), v) for rid, v in g.event_var.items()] == \
+        [("r0[X=1]", 1), ("r0[X=a]", 2)]
 
 
 def test_duplicate_firings_are_one_event():
@@ -226,7 +234,7 @@ CLOSURE = """\
 query(r(1,4)).
 """
 # Each derivation needs the atom found in the round before at its second
-# literal, and the final enumeration pass alone cannot recover t(1).
+# literal, so t(1)'s edge is met only by a join through that round's delta.
 LAYERS = """\
 0.5::e(1). 0.5::f(1).
 1::p(X) :- f(X).
@@ -237,29 +245,11 @@ query(u(1)).
 """
 
 
-def _unify(pattern, atom, s):
-    if (pattern.functor, len(pattern.args)) != (atom.functor, len(atom.args)):
-        return None
-    s = dict(s)
-    for p, a in zip(pattern.args, atom.args):
-        if is_var(p):
-            if s.setdefault(p, a) != a:
-                return None
-        elif p != a:
-            return None
-    return s
-
-
-def _subst(atom, s):
-    return Atom(atom.functor,
-                tuple(s.get(a, a) if is_var(a) else a for a in atom.args))
-
-
 def _firings(pos, model):
     for combo in itertools.product(model, repeat=len(pos)):
         s = {}
         for pattern, atom in zip(pos, combo):
-            s = _unify(pattern, atom, s)
+            s = unify(pattern, atom, s)
             if s is None:
                 break
         if s is not None:
@@ -270,7 +260,7 @@ def naive_ground(program):
     """Model and hyperedges by naive evaluation: every rule, every round."""
     model = set(program.input_facts)
     while True:
-        found = {_subst(r.head, s) for r in program.rules
+        found = {substitute(r.head, s) for r in program.rules
                  for s in _firings([l.atom for l in r.body if not l.negated],
                                    model)}
         if found <= model:
@@ -282,8 +272,8 @@ def naive_ground(program):
         neg = [l.atom for l in r.body if l.negated]
         for s in _firings(pos, model):
             edges.add(Hyperedge(
-                _subst(r.head, s), tuple(_subst(a, s) for a in pos),
-                tuple(n for a in neg if (n := _subst(a, s)) in model),
+                substitute(r.head, s), tuple(substitute(a, s) for a in pos),
+                tuple(n for a in neg if (n := substitute(a, s)) in model),
                 GroundRuleId(i, tuple(sorted(s.items()))), r.prob))
     return model, edges
 
@@ -306,3 +296,46 @@ def test_semi_naive_matches_naive_fixpoint(src):
 @pytest.mark.parametrize("seed", range(30))
 def test_semi_naive_matches_naive_fixpoint_random(seed):
     _assert_matches_naive(random_program_source(seed))
+
+
+# Recursive through r/2, with negation, and several candidates for every
+# literal, met in an order that differs from the atoms' insertion ranks.
+FAN = """\
+0.5::e(1,2). 0.5::e(1,3). 0.5::e(2,3). 0.5::e(3,1). 0.5::e(3,4). 0.5::e(2,4).
+0.5::b(2). 0.5::b(4).
+0.8::r(X,Y) :- e(X,Y).
+0.9::r(X,Z) :- e(X,Y), r(Y,Z).
+0.7::r(X,Z) :- r(X,Y), r(Y,Z), \\+b(Y).
+0.6::s(X,Y) :- r(X,Y), e(Y,X), \\+r(Y,Y).
+query(s(1,3)).
+"""
+
+
+def _assert_matches_reference(src):
+    # the one-pass grounder sorts its edges into the order the two-pass
+    # one enumerates them in; everything built from the edges follows
+    program = parse(src)
+    got, want = solve_standard(program), reference_ground(program)
+    assert got.edges == want.edges
+    assert got.nodes == want.nodes
+    assert list(got.event_var.items()) == list(want.event_var.items())
+    assert got.cycles() == want.cycles()
+
+
+@pytest.mark.parametrize(
+    "src", [ROADS, SIXPACK, CYCLIC_CHAIN, CHAIN, CLOSURE, LAYERS, FAN],
+    ids=["roads", "sixpack", "cyclic_chain", "chain", "closure", "layers",
+         "fan"])
+def test_edges_match_reference_grounder(src):
+    _assert_matches_reference(src)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_edges_match_reference_grounder_random(seed):
+    _assert_matches_reference(random_program_source(seed))
+
+
+def test_graph_shares_one_instance_per_atom():
+    g = ground(FAN)
+    node = {n: n for n in g.nodes}
+    assert all(a is node[a] for e in g.edges for a in (e.head, *e.bodies()))
