@@ -101,6 +101,8 @@ def _pinned_value(env: CorrEnv, node: Atom, sig: DepSig):
 
 def _fold(env: CorrEnv, op: str, parts, assume_unknown: bool
           ) -> tuple[Interval, DepSig]:
+    if not parts:  # an empty conjunction: a rule with no body left is true
+        return Interval(1.0, 1.0), (frozenset(), frozenset())
     acc_iv, acc_sig = parts[0]
     for iv, sig in parts[1:]:
         t = infer_expr_pair(env, acc_sig, sig)

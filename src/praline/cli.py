@@ -90,6 +90,10 @@ def _pipeline(program, queries=None):
     """Ground, slice, unfold and constrain a program; raises InfeasibleError
     on conflicting declarations.
 
+    Returns (env, outputs, absent): the correlation environment, which
+    holds the unfolded cone, its context and its constraints, and the
+    `_select_outputs` of queries on that cone.
+
     The ground graph is cut to its cone (`DerivationGraph.cone`): the edges
     that the outputs `_select_outputs` picks for queries reach backwards.
     Every later layer reads only the cone.  A node's interval, objective
@@ -107,7 +111,8 @@ def _pipeline(program, queries=None):
     system = gen_constraints(program, ctx)
     if not check_feasible(system):
         raise InfeasibleError("No solution")
-    return work, ctx, system, build_env(work, ctx, system)
+    return (build_env(work, ctx, system),
+            *_select_outputs(program, work, queries))
 
 
 def _select_outputs(program, graph, patterns):
@@ -135,8 +140,7 @@ def solve_program(program, mode="delta", delta=0.01,
                   queries=None) -> BoundsReport:
     """Bounds for every queried fact; raises InfeasibleError on conflict."""
     t0 = time.perf_counter()
-    work, ctx, system, env = _pipeline(program, queries)
-    outputs, absent = _select_outputs(program, work, queries)
+    env, outputs, absent = _pipeline(program, queries)
     facts = []
     if mode == "exact":
         # the approx pass runs only if some output's exact range is out of reach
@@ -183,19 +187,19 @@ def _dump(args, program):
     grounds the program twice.  An infeasible program dumps nothing.  The
     graph printed is the one the later layers read: the cone, unfolded.
     """
-    work, ctx, system, env = _pipeline(program, args.query)
+    env, outputs, _ = _pipeline(program, args.query)
     if args.dump_graph:
         print("derivation graph:")
-        for e in work.edges:
+        for e in env.graph.edges:
             body = [str(a) for a in e.pos] + [f"\\+{a}" for a in e.neg]
             prob = f"  [p={e.prob:.6g}]" if e.prob < 1.0 else ""
             print(f"  {e.head} <- {', '.join(body) or 'true'}{prob}")
     if args.dump_constraints:
         print("constraint system:")
-        print(system.describe())
+        print(env.system.describe())
     if args.dump_correlations:
         print("correlation classes:")
-        for cs in system.classes:
+        for cs in env.system.classes:
             members = ", ".join(str(m) for m in cs.members)
             print(f"  {cs.label}: {members}")
             if len(cs.members) > 8:
@@ -205,17 +209,16 @@ def _dump(args, program):
                 for j in range(i + 1, len(cs.members)):
                     t = infer_input_pair(env, cs.members[i], cs.members[j])
                     print(f"    {cs.members[i]} ~ {cs.members[j]}: {t.value}")
-        outputs, _ = _select_outputs(program, work, args.query)
         for i in range(len(outputs)):
             for j in range(i + 1, len(outputs)):
                 t = node_pair(env, outputs[i], outputs[j])
                 print(f"  {outputs[i]} ~ {outputs[j]}: {t.value}")
     if args.dump_exprs:
-        outputs, _ = _select_outputs(program, work, args.query)
         print("probability expressions:")
         for out in outputs:
             try:
-                print(f"  {out} = {expr_str(gen_objective(work, ctx, out))}")
+                print(f"  {out} = "
+                      f"{expr_str(gen_objective(env.graph, env.ctx, out))}")
             except DimensionCapExceeded:
                 print(f"  {out} = (expression template too large)")
 
@@ -240,13 +243,12 @@ def _cmd_solve(args, program) -> int:
 
 
 def _cmd_oracle(args, program) -> int:
-    work, ctx, system, env = _pipeline(program, args.query)
-    outputs, absent = _select_outputs(program, work, args.query)
+    env, outputs, absent = _pipeline(program, args.query)
     rng = np.random.default_rng(args.seed)
     sampled = None
     if outputs:
-        ws = build_world_space(program, work)
-        mus = sample_feasible_mu(system, rng, args.samples)
+        ws = build_world_space(program, env.graph)
+        mus = sample_feasible_mu(env.system, rng, args.samples)
         sampled = world_probs(outputs, mus, ws)
     for j, out in enumerate(outputs):
         try:

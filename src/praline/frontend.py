@@ -155,15 +155,19 @@ class CorrelationClass:
     """A set of input facts that may be statistically dependent.
 
     ``class_id`` is the user-declared id, or -1 for inferred classes.
-    ``ordinal`` is the 1-based position in canonical order (order of first
-    member declaration), used for display names V1, V2, ...
-    Members keep declaration order; member k maps to bit k of the class's
-    joint assignment bitvector.
+    ``label`` is the display name: ``V`` for a program's only class, else
+    ``V<k>`` with k the 1-based position in canonical order (order of first
+    member declaration).  Members keep declaration order; member k maps to
+    bit k of the class's joint assignment bitvector.
     """
 
     class_id: int
     members: tuple[Atom, ...]
-    ordinal: int = 0
+    label: str = ""
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -468,12 +472,12 @@ def infer_correlation_classes(prog: Program) -> Program:
         cid = ids[0] if ids else -1
         classes.append(CorrelationClass(cid, tuple(members)))
 
-    # canonical order: by first member declaration; ordinals are 1-based
+    # canonical order: by first member declaration; labels count from 1
     order = {f: i for i, f in enumerate(facts)}
     classes.sort(key=lambda c: order[c.members[0]])
     fact_class: dict[Atom, tuple[int, int]] = {}
     for pos, c in enumerate(classes):
-        c.ordinal = pos + 1
+        c.label = "V" if len(classes) == 1 else f"V{pos + 1}"
         for bit, m in enumerate(c.members):
             fact_class[m] = (pos, bit)
 

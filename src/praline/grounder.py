@@ -13,6 +13,9 @@ its body atoms, and is recorded then.  The edges are sorted afterwards into
 the order of a rule-by-rule join over the final model: by rule index, then
 by the insertion ranks of the matched body atoms, literal by literal.  Each
 ground atom is one shared instance, in the model and in every edge.
+Each uncertain firing flips one independent coin, and its edge carries
+that coin's event number (`Hyperedge.event`, 0 for a certain rule),
+counted by rule index, then by the sorted substitution.
 break_cycles unfolds recursive components into depth-indexed copies so
 that downstream passes see an acyclic graph.
 
@@ -26,15 +29,16 @@ and the approx pass.
 reach backwards: everything their probabilities can read.  A strongly
 connected component is either wholly inside the cone (one member reaches
 an output, so every member does) or wholly outside it, so the cone keeps
-the full graph's components and runs no second cycle search.  The event
-numbering and the input facts stay the whole program's, so a slice names
-each event by the same variable as the full graph, and the constraints
-built from the declarations cover every fact whatever the slice reads.
+the full graph's components and runs no second cycle search.  A slice
+keeps each edge whole, event number included, so it names each event by
+the same variable as the full graph; the input facts stay the whole
+program's, so the constraints built from the declarations cover every
+fact whatever the slice reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Iterator, Optional
 
 from praline.frontend import (
@@ -54,29 +58,19 @@ class UnsafeRuleError(PralineError):
 
 
 @dataclass(frozen=True)
-class GroundRuleId:
-    """Identity of one ground rule instance: rule index plus substitution.
+class Hyperedge:
+    """One ground rule firing: head <- pos, not neg.
 
-    Synthetic carry edges introduced by break_cycles use rule_index -1.
+    `event` numbers the independent coin an uncertain ground rule flips,
+    from 1 up across the whole program; 0 marks a certain rule.  Unfolded
+    copies of a firing keep its number, so they share one coin.
     """
 
-    rule_index: int
-    subst: tuple[tuple[str, Term], ...]
-
-    def __str__(self) -> str:
-        if self.rule_index < 0:
-            return f"carry[{self.subst[0][1]}]"
-        binds = ",".join(f"{v}={t}" for v, t in self.subst)
-        return f"r{self.rule_index}[{binds}]"
-
-
-@dataclass(frozen=True)
-class Hyperedge:
     head: Atom
     pos: tuple[Atom, ...]
     neg: tuple[Atom, ...]
-    rule_id: GroundRuleId
     prob: float
+    event: int = 0
 
     def bodies(self) -> Iterator[Atom]:
         yield from self.pos
@@ -95,7 +89,6 @@ class DerivationGraph:
 
     edges: list[Hyperedge]
     input_facts: list[Atom]
-    event_var: dict[GroundRuleId, int]
     strata: dict[str, int]
     components: InitVar[Optional[list[list[Atom]]]]
     # synthetic leaf -> the input fact it stands for (see break_cycles)
@@ -142,9 +135,10 @@ class DerivationGraph:
 
         A node's derivations are its in-edges and, recursively, those of
         their bodies, so the cone keeps everything an output can read.  The
-        input facts and the event numbering stay the whole program's.  A
-        component lies wholly inside the cone or wholly outside it, so the
-        cone keeps the components already found, without a second search.
+        input facts stay the whole program's, and each edge keeps its event
+        number.  A component lies wholly inside the cone or wholly outside
+        it, so the cone keeps the components already found, without a
+        second search.
         Returns self when nothing is dropped.
         """
         seen = set(outputs)
@@ -161,7 +155,7 @@ class DerivationGraph:
             return self
         return DerivationGraph(
             [self.edges[i] for i in sorted(kept)], self.input_facts,
-            self.event_var, self.strata,
+            self.strata,
             [scc for scc in self._cycles if scc[0] in seen], self.input_alias)
 
     def topo_order(self) -> list[Atom]:
@@ -401,10 +395,10 @@ def _fire(rule: Rule, index: int, pos: list[Atom], new: _Db, db: _Db,
         firings[key] = (s, g)
 
 
-def _subst_order(rid: GroundRuleId):
-    """Sort key of a ground rule: integer constants before names."""
-    return rid.rule_index, tuple((v, isinstance(t, str), t)
-                                 for v, t in rid.subst)
+def _subst_order(index: int, s: dict[str, Term]):
+    """Sort key of a ground rule: its rule index, then its substitution
+    sorted by variable, integer constants before names."""
+    return index, tuple((v, isinstance(t, str), t) for v, t in sorted(s.items()))
 
 
 def solve_standard(program: Program) -> DerivationGraph:
@@ -414,7 +408,8 @@ def solve_standard(program: Program) -> DerivationGraph:
     the first meeting of each is kept.  The edges are then put in the order
     of a join over the final model, rule by rule with each literal's
     candidates in insertion order: by rule index, then by the insertion
-    ranks of the matched atoms.
+    ranks of the matched atoms.  Each uncertain firing gets its event
+    number on its edge, counted in the order of `_subst_order`.
     """
     for r in program.rules:
         check_safety(r)
@@ -461,24 +456,22 @@ def solve_standard(program: Program) -> DerivationGraph:
                 _fire(rule, i, bodies[k], new, db, firings, found)
             delta = [a for a in found if db.add(a)]
 
+    # one event per uncertain ground rule, in declaration order
+    uncertain = sorted((key for key in firings
+                        if program.rules[key[0]].prob < 1.0),
+                       key=lambda key: _subst_order(key[0], firings[key][0]))
+    event = {key: n for n, key in enumerate(uncertain, 1)}
     rank = {a: n for n, a in enumerate(db.all)}
     edges: list[Hyperedge] = []
     for key in sorted(firings, key=lambda key: (key[0], [rank[a] for a in key[1]])):
-        i, matched = key
         s, head = firings[key]
-        rule = program.rules[i]
+        rule = program.rules[key[0]]
         gneg = tuple(g for l in rule.body if l.negated
                      if (g := db.all.get(_apply(l.atom, s))) is not None)
-        edges.append(Hyperedge(head, matched, gneg,
-                               GroundRuleId(i, tuple(sorted(s.items()))),
-                               rule.prob))
-
-    # one event variable per uncertain ground rule, in declaration order
-    uncertain = sorted((e.rule_id for e in edges if e.prob < 1.0),
-                       key=_subst_order)
-    return DerivationGraph(edges, list(inputs),
-                           {rid: i + 1 for i, rid in enumerate(uncertain)},
-                           strata, None if recursive else [])
+        edges.append(Hyperedge(head, key[1], gneg, rule.prob,
+                               event.get(key, 0)))
+    return DerivationGraph(edges, list(inputs), strata,
+                           None if recursive else [])
 
 
 def _find_cycles(g: DerivationGraph) -> list[list[Atom]]:
@@ -521,9 +514,7 @@ def _prune_false(edges: list[Hyperedge], input_facts: list[Atom],
         if any(b not in derivable for b in e.pos):
             continue
         if any(b not in derivable for b in e.neg):
-            e = Hyperedge(e.head, e.pos,
-                          tuple(b for b in e.neg if b in derivable),
-                          e.rule_id, e.prob)
+            e = replace(e, neg=tuple(b for b in e.neg if b in derivable))
         kept.append(e)
     return kept
 
@@ -535,8 +526,8 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
     copies 0..d suffice: copy k derives from copy k-1 inside the component
     and from final nodes outside it.  The copy at depth d keeps the original
     atom name, so consumers outside the component are untouched.  All copies
-    of one ground rule share its event variable; carry edges (copy k from
-    copy k-1) are deterministic.
+    of one ground rule keep its event number; carry edges (copy k from
+    copy k-1) are certain.
     """
     cycles = g.cycles()
     if not cycles:
@@ -563,8 +554,7 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
                 # already count at unfolding depth 0
                 leaf = Atom(f"{n.functor}@in", n.args)
                 aliases[leaf] = n
-                rid = GroundRuleId(-1, (("input", f"{n}@0"),))
-                new_edges.append(Hyperedge(_copy_name(n, 0), (leaf,), (), rid, 1.0))
+                new_edges.append(Hyperedge(_copy_name(n, 0), (leaf,), (), 1.0))
         for n in members:
             for ei in g.in_edges.get(n, ()):
                 e = g.edges[ei]
@@ -583,17 +573,14 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
                         head = n if k == d else _copy_name(n, k)
                         pos = tuple(_copy_name(b, k - 1) if b in scc_set else b
                                     for b in e.pos)
-                    new_edges.append(Hyperedge(head, pos, e.neg, e.rule_id, e.prob))
+                    new_edges.append(Hyperedge(head, pos, e.neg, e.prob, e.event))
             for k in range(1, d + 1):
                 head = n if k == d else _copy_name(n, k)
-                prev = _copy_name(n, k - 1)
-                rid = GroundRuleId(-1, (("carry", f"{n}@{k}"),))
-                new_edges.append(Hyperedge(head, (prev,), (), rid, 1.0))
+                new_edges.append(Hyperedge(head, (_copy_name(n, k - 1),), (), 1.0))
 
     all_aliases = {**g.input_alias, **aliases}
     new_edges = _prune_false(new_edges, g.input_facts, all_aliases)
-    g2 = DerivationGraph(new_edges, g.input_facts, g.event_var, g.strata, [],
-                         all_aliases)
+    g2 = DerivationGraph(new_edges, g.input_facts, g.strata, [], all_aliases)
     try:
         g2.topo_order()
     except PralineError:

@@ -64,10 +64,7 @@ def build_world_space(program: Program, graph: DerivationGraph) -> WorldSpace:
 
     # one bit per event the edges carry, in event order: the identity on
     # a whole graph, and only the events a sliced graph reads on its cone
-    edge_prob = {}
-    for e in graph.edges:
-        if e.rule_id in graph.event_var:
-            edge_prob[graph.event_var[e.rule_id]] = e.prob
+    edge_prob = {e.event: e.prob for e in graph.edges if e.event}
     events = sorted(edge_prob)
     ev_slot = {var: k for k, var in enumerate(events)}
     n_events = len(events)
@@ -102,9 +99,8 @@ def build_world_space(program: Program, graph: DerivationGraph) -> WorldSpace:
     for pos, i in enumerate(order):
         e = graph.edges[i]
         head[pos] = node_index[e.head]
-        var = graph.event_var.get(e.rule_id)
-        if var is not None:
-            ev_bit[pos] = offset + ev_slot[var]
+        if e.event:
+            ev_bit[pos] = offset + ev_slot[e.event]
         for a in e.pos:
             body_node.append(node_index[a])
             body_sign.append(1)

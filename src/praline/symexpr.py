@@ -47,7 +47,13 @@ from typing import Optional
 
 import numpy as np
 
-from praline.frontend import Atom, DimensionCapExceeded, Program, format_bits
+from praline.frontend import (
+    Atom,
+    CorrelationClass,
+    DimensionCapExceeded,
+    Program,
+    format_bits,
+)
 from praline.grounder import DerivationGraph
 
 # largest template (full class assignments over the support) a node's
@@ -157,20 +163,10 @@ def coeff_str(a: Coeff) -> str:
 
 
 @dataclass
-class ClassSpec:
-    label: str
-    members: tuple[Atom, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@dataclass
 class ExprContext:
     """Names the classes and event variables expressions are built over."""
 
-    classes: list[ClassSpec]
+    classes: list[CorrelationClass]
     fact_bit: dict[Atom, tuple[int, int]]  # fact -> (class position, bit)
     var_prob: dict[int, float]
 
@@ -182,15 +178,8 @@ class ExprContext:
 
 
 def context_from_program(program: Program, graph: DerivationGraph) -> ExprContext:
-    single = len(program.classes) == 1
-    classes = [ClassSpec("V" if single else f"V{c.ordinal}", c.members)
-               for c in program.classes]
-    var_prob = {}
-    for e in graph.edges:
-        v = graph.event_var.get(e.rule_id)
-        if v is not None:
-            var_prob[v] = e.prob
-    return ExprContext(classes, program.fact_class, var_prob)
+    return ExprContext(program.classes, program.fact_class,
+                       {e.event: e.prob for e in graph.edges if e.event})
 
 
 @functools.cache
@@ -388,9 +377,8 @@ def _node_expr(graph: DerivationGraph, ctx: ExprContext, n: Atom,
             acc = mul(acc, memo[b])
         for b in e.neg:
             acc = mul(acc, neg(memo[b]))
-        var = graph.event_var.get(e.rule_id)
-        if var is not None:
-            acc = scale_event(acc, var)
+        if e.event:
+            acc = scale_event(acc, e.event)
         parts.append(acc)
     if not parts:
         raise DimensionCapExceeded(f"node {n} has no derivations and is not a leaf")

@@ -97,6 +97,14 @@ CONFLICT = """\
 query(out).
 """
 
+# A rule whose only literal negates an underivable atom: its ground edge
+# keeps no body literal at all.
+FOLD = """\
+0.5::a.
+0.5::v :- \\+s.
+query(v).
+"""
+
 
 @pytest.fixture
 def roads():

@@ -6,12 +6,7 @@ from itertools import combinations, product
 import numpy as np
 
 from praline.frontend import Atom, is_var
-from praline.grounder import (
-    DerivationGraph,
-    GroundRuleId,
-    Hyperedge,
-    stratify,
-)
+from praline.grounder import DerivationGraph, Hyperedge, stratify
 from praline.symexpr import (
     coeff_add,
     coeff_joint,
@@ -235,7 +230,7 @@ def reference_ground(program):
     is joined again over the final model, rule by rule and each literal's
     atoms in the order the fixpoint found them, and the first firing of
     each ground rule is its edge.  Events are numbered by rule index, then
-    by the sorted substitution.
+    by the substitution sorted by variable, integer constants before names.
     """
     strata, _ = stratify(program)
     model = {}
@@ -269,20 +264,19 @@ def reference_ground(program):
                             found.setdefault(substitute(r.head, s))
             delta = [a for a in found if add(a)]
 
-    edges = {}
+    firings = {}  # (rule index, sorted substitution) -> its first grounding
     for i, r in enumerate(program.rules):
         pos = [l.atom for l in r.body if not l.negated]
         neg = [l.atom for l in r.body if l.negated]
         for s in _ordered_join(pos, by_pred, {}):
-            rid = GroundRuleId(i, tuple(sorted(s.items())))
-            if rid not in edges:
-                edges[rid] = Hyperedge(
-                    substitute(r.head, s),
-                    tuple(substitute(a, s) for a in pos),
-                    tuple(n for a in neg if (n := substitute(a, s)) in model),
-                    rid, r.prob)
-    uncertain = sorted((rid for rid, e in edges.items() if e.prob < 1.0),
-                       key=lambda rid: (rid.rule_index, rid.subst))
-    return DerivationGraph(list(edges.values()), program.input_facts,
-                           {rid: n + 1 for n, rid in enumerate(uncertain)},
-                           strata, None)
+            firings.setdefault((i, tuple(sorted(s.items()))), (
+                substitute(r.head, s), tuple(substitute(a, s) for a in pos),
+                tuple(n for a in neg if (n := substitute(a, s)) in model),
+                r.prob))
+    uncertain = sorted(
+        (key for key, f in firings.items() if f[3] < 1.0),
+        key=lambda key: (key[0], [(v, isinstance(t, str), t)
+                                  for v, t in key[1]]))
+    event = {key: n for n, key in enumerate(uncertain, 1)}
+    edges = [Hyperedge(*f, event.get(key, 0)) for key, f in firings.items()]
+    return DerivationGraph(edges, program.input_facts, strata, None)

@@ -10,7 +10,7 @@ import pytest
 import praline
 from praline.cli import build_parser, run, solve_source
 
-from conftest import CHAIN, CONFLICT, ROADS, ROADS_APPROX, ROADS_EXACT
+from conftest import CHAIN, CONFLICT, FOLD, ROADS, ROADS_APPROX, ROADS_EXACT
 
 # one 13-fact class: too large for vertex enumeration, small enough for rows
 WIDE = "".join(f"0.5 :: a{i}.\n" for i in range(1, 14)) + \
@@ -159,6 +159,15 @@ class TestExitCodes:
                      "query(p(1)).\n")
         assert run(["solve", str(f), "--mode", mode]) == 0
         assert interval_of(capsys.readouterr().out, "p(1)") == (0.45, 0.45)
+
+    @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
+    def test_rule_with_no_literal_left(self, tmp_path, capsys, mode):
+        # s is underivable, so the grounder drops \+s and v's edge has an
+        # empty body: a conjunction of nothing, true in every world
+        f = tmp_path / "fold.pl"
+        f.write_text(FOLD)
+        assert run(["solve", str(f), "--mode", mode]) == 0
+        assert capsys.readouterr().out == "v: [0.5, 0.5]\n"
 
 
 class TestOversizedClass:

@@ -120,7 +120,7 @@ def test_classes_roads(roads):
         Atom("edge", (1, 4)),
         Atom("edge", (2, 6)),
     )
-    assert [c.ordinal for c in roads.classes] == [1, 2, 3, 4]
+    assert [c.label for c in roads.classes] == ["V1", "V2", "V3", "V4"]
     assert all(c.class_id == -1 for c in roads.classes)
 
 
@@ -134,6 +134,7 @@ def test_conditional_chain_single_class():
     prog = parse("0.5::a. 0.5::b. 0.5::c. 0.5::a|b. 0.5::b|c.")
     assert len(prog.classes) == 1
     assert prog.classes[0].members == (Atom("a"), Atom("b"), Atom("c"))
+    assert prog.classes[0].label == "V"  # a program's only class
 
 
 def test_corr_declaration_merges():

@@ -1,13 +1,14 @@
 import itertools
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import praline.grounder as grounder
 from praline import Atom, NonStratifiedError, parse
 from praline.approx import approx_bounds
-from praline.cli import _pipeline
+from praline.cli import _pipeline, solve_source
 from praline.grounder import (
-    GroundRuleId,
     Hyperedge,
     UnsafeRuleError,
     break_cycles,
@@ -38,30 +39,29 @@ def test_roads_graph(roads):
     bodies = {tuple(map(str, e.pos)) for e in edges}
     assert bodies == {("path(1,5)", "edge(5,7)"), ("path(1,6)", "edge(6,7)")}
     # six base-case firings, one per edge fact
-    base = [e for e in g.edges if e.rule_id.rule_index == 0]
+    base = [e for e in g.edges if e.pos[0].functor == "edge"]
     assert len(base) == 6
 
 
-def test_event_vars_only_for_uncertain_rules(roads):
+def test_events_only_for_uncertain_rules(roads):
     g = solve_standard(roads)
-    assert len(g.event_var) == 0  # every rule has probability 1
+    assert all(e.event == 0 for e in g.edges)  # every rule has probability 1
     g2 = ground("0.5::a. 0.9::b :- a. 1::c :- b.")
-    assert len(g2.event_var) == 1
-    assert list(g2.event_var.values()) == [1]
+    assert [(str(e.head), e.event) for e in g2.edges] == [("b", 1), ("c", 0)]
 
 
-def test_event_var_order_is_declaration_order():
+def test_event_order_is_declaration_order():
     g = ground("0.5::a. 0.5::b. 0.9::x :- a. 0.8::y :- b. 0.7::z :- x, y.")
-    by_rule = {rid.rule_index: v for rid, v in g.event_var.items()}
-    assert by_rule == {0: 1, 1: 2, 2: 3}
+    assert {str(e.head): e.event for e in g.edges} == {"x": 1, "y": 2, "z": 3}
 
 
 def test_event_numbering_puts_integers_before_names():
     # an argument that holds both kinds of constant must not compare an
-    # int with a str; the integer's event comes first
+    # int with a str; the integer's event comes first, whatever the order
+    # of the edges
     g = ground("0.5::e(a). 0.5::e(1). 0.9::p(X) :- e(X). query(p(1)).")
-    assert [(str(rid), v) for rid, v in g.event_var.items()] == \
-        [("r0[X=1]", 1), ("r0[X=a]", 2)]
+    assert [(str(e.head), e.event) for e in g.edges] == \
+        [("p(a)", 2), ("p(1)", 1)]
 
 
 def test_duplicate_firings_are_one_event():
@@ -70,7 +70,18 @@ def test_duplicate_firings_are_one_event():
     g = ground("0.5::e(1,2). 0.5::e(2,1). 0.9::h :- e(X,Y), e(Y,X).")
     h_edges = [g.edges[i] for i in g.in_edges[Atom("h")]]
     assert len(h_edges) == 2
-    assert len({e.rule_id for e in h_edges}) == 2
+    assert {e.event for e in h_edges} == {1, 2}
+
+
+def test_duplicate_certain_rules_are_two_equal_edges():
+    # nothing names a certain rule, so its two copies are equal values;
+    # the graph keeps both, and a disjunction of equal derivations is one
+    src = "0.5::a. h :- a. h :- a. query(h)."
+    g = ground(src)
+    assert len(g.edges) == 2
+    assert g.edges[0] == g.edges[1]
+    for mode in ("exact", "approx", "delta"):
+        assert solve_source(src, mode=mode).render() == "h: [0.5, 0.5]", mode
 
 
 def test_underivable_negation_dropped():
@@ -117,8 +128,19 @@ def test_cycle_detection_and_unfolding():
     # original names survive as the final unfolding level
     for a in ("r(1,3)", "r(1,1)", "r(2,2)"):
         assert any(str(n) == a for n in g2.nodes)
-    # events are shared between unfolded copies of one ground rule
-    assert g2.event_var == g.event_var
+
+
+def test_unfolded_copies_keep_their_event():
+    g = ground(FAN)
+    g2 = break_cycles(g)
+    assert len(g2.edges) > len(g.edges)
+
+    def rule_of(e):
+        return e.head.functor.split("@")[0], e.head.args, e.prob
+
+    # every copy of a firing carries its event; no edge gains one
+    assert {e.event: rule_of(e) for e in g2.edges if e.event} == \
+        {e.event: rule_of(e) for e in g.edges if e.event}
 
 
 def test_pipeline_searches_for_cycles_once(monkeypatch):
@@ -128,7 +150,7 @@ def test_pipeline_searches_for_cycles_once(monkeypatch):
     find = grounder._find_cycles
     monkeypatch.setattr(grounder, "_find_cycles",
                         lambda g: calls.append(g) or find(g))
-    work = _pipeline(parse(CYCLIC_CHAIN))[0]
+    work = _pipeline(parse(CYCLIC_CHAIN))[0].graph
     assert len(calls) == 1
     assert work.acyclic
 
@@ -147,7 +169,8 @@ def test_pipeline_reads_only_the_query_cone(monkeypatch):
                         lambda p: grounded.append(ground_fn(p)) or grounded[-1])
     monkeypatch.setattr(cli, "break_cycles",
                         lambda g: unfolded.append(g) or unfold_fn(g))
-    work, _, _, env = _pipeline(parse(CYCLIC_CHAIN))
+    env = _pipeline(parse(CYCLIC_CHAIN))[0]
+    work = env.graph
     assert {_source(n) for n in work.nodes} == {None, "0"}
     (sliced,) = unfolded
     assert sliced.cycles()
@@ -257,7 +280,10 @@ def _firings(pos, model):
 
 
 def naive_ground(program):
-    """Model and hyperedges by naive evaluation: every rule, every round."""
+    """Model and hyperedges by naive evaluation: every rule, every round.
+
+    The edges are a multiset, and carry no event numbers.
+    """
     model = set(program.input_facts)
     while True:
         found = {substitute(r.head, s) for r in program.rules
@@ -266,15 +292,18 @@ def naive_ground(program):
         if found <= model:
             break
         model |= found
-    edges = set()
-    for i, r in enumerate(program.rules):
+    edges = Counter()
+    for r in program.rules:
         pos = [l.atom for l in r.body if not l.negated]
         neg = [l.atom for l in r.body if l.negated]
-        for s in _firings(pos, model):
-            edges.add(Hyperedge(
+        # a ground rule's substitution is one firing, however many ways
+        # its body atoms are met
+        firings = {tuple(sorted(s.items())): s for s in _firings(pos, model)}
+        for s in firings.values():
+            edges[Hyperedge(
                 substitute(r.head, s), tuple(substitute(a, s) for a in pos),
                 tuple(n for a in neg if (n := substitute(a, s)) in model),
-                GroundRuleId(i, tuple(sorted(s.items()))), r.prob))
+                r.prob)] += 1
     return model, edges
 
 
@@ -283,8 +312,7 @@ def _assert_matches_naive(src):
     g = solve_standard(program)
     model, edges = naive_ground(program)
     assert set(g.nodes) == model
-    assert set(g.edges) == edges
-    assert len(g.edges) == len(edges)
+    assert Counter(replace(e, event=0) for e in g.edges) == edges
 
 
 @pytest.mark.parametrize("src", [ROADS, CHAIN, CLOSURE, LAYERS],
@@ -316,9 +344,8 @@ def _assert_matches_reference(src):
     # one enumerates them in; everything built from the edges follows
     program = parse(src)
     got, want = solve_standard(program), reference_ground(program)
-    assert got.edges == want.edges
+    assert got.edges == want.edges  # events included
     assert got.nodes == want.nodes
-    assert list(got.event_var.items()) == list(want.event_var.items())
     assert got.cycles() == want.cycles()
 
 

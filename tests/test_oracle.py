@@ -140,13 +140,13 @@ class TestWorldProb:
 
 class TestExactIntervalOracle:
     def test_roads(self, roads):
-        env = _pipeline(roads)[3]
+        env = _pipeline(roads)[0]
         target = node(env.graph, "path(1,7)")
         assert_allclose(exact_interval_oracle(target, env), ROADS_EXACT,
                         atol=1e-9)
 
     def test_point_program(self, sixpack):
-        env = _pipeline(sixpack)[3]
+        env = _pipeline(sixpack)[0]
         lo, hi = exact_interval_oracle(node(env.graph, "e"), env)
         assert_allclose([lo, hi], [SIXPACK_E, SIXPACK_E], atol=1e-9)
 
@@ -154,18 +154,18 @@ class TestExactIntervalOracle:
         from praline.frontend import Atom
 
         lo, hi = exact_interval_oracle(Atom("path", (7, 1)),
-                                       _pipeline(roads)[3])
+                                       _pipeline(roads)[0])
         assert (lo, hi) == (0.0, 0.0)
 
     def test_conflict_raises(self):
         program = parse(CONFLICT)
         target = node(solve_standard(program), "out")
         with pytest.raises(InfeasibleError):
-            exact_interval_oracle(target, _pipeline(program)[3])
+            exact_interval_oracle(target, _pipeline(program)[0])
 
     def test_input_query_range(self):
         program = parse("0.6 :: b | a.\n0.5 :: a.\n1::h :- a, b.")
-        env = _pipeline(program)[3]
+        env = _pipeline(program)[0]
         lo, hi = exact_interval_oracle(node(env.graph, "b"), env)
         assert_allclose([lo, hi], [0.3, 0.8], atol=1e-9)
 

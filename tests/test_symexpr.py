@@ -290,11 +290,11 @@ class TestHybridFacts:
     def test_input_inside_a_recursive_component(self, mode):
         # every class is pinned to one point, where enumeration gives P
         prog = parse(HYBRID_IN_CYCLE)
-        work, _, system, _ = _pipeline(prog)
-        assert all(len(cs.vertices()) == 1 for cs in system.classes)
-        mu = [cs.feasible_point() for cs in system.classes]
+        env = _pipeline(prog)[0]
+        assert all(len(cs.vertices()) == 1 for cs in env.system.classes)
+        mu = [cs.feasible_point() for cs in env.system.classes]
         (want,) = world_probs(prog.queries, [mu],
-                              build_world_space(prog, work))
+                              build_world_space(prog, env.graph))
         assert want == pytest.approx([0.568, 0.22], abs=1e-12)
         got = {f.atom: (f.lower, f.upper)
                for f in solve_source(HYBRID_IN_CYCLE, mode=mode).facts}
