@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -104,7 +104,7 @@ def _pipeline(program, queries=None):
     constraints come from the program's declarations, so a conflict
     outside the cone is still infeasible.
     """
-    graph = solve_standard(program)
+    graph = solve_standard(replace(program, queries=[]) if queries else program)
     graph = graph.cone(_select_outputs(program, graph, queries)[0])
     work = graph if graph.acyclic else break_cycles(graph)
     ctx = context_from_program(program, work)

@@ -301,6 +301,7 @@ class _Parser:
             atom = self.parse_atom()
             self.expect(")")
             self.expect(".")
+            self._require_ground([atom], "query")
             prog.queries.append(atom)
         elif kind == "name":
             self.parse_clause(prog, 1.0, i)

@@ -2,20 +2,42 @@
 
 solve_standard evaluates the rules bottom-up over the skeleton model (every
 input fact assumed present, negative literals ignored) and records one
-hyperedge per ground rule firing.  The skeleton model contains every atom
-derivable in any possible world, so the recorded graph covers all
-derivations.  The evaluation is semi-naive: each round joins only through
-the atoms the previous round derived, and a per-stratum watch index, from
-each predicate to the rules with a positive literal on it, limits a round
-to the rules its delta can fire.  It is the only pass over the rules: every
-firing over the final model is met in the round that derives the last of
-its body atoms, and is recorded then.  The edges are sorted afterwards into
-the order of a rule-by-rule join over the final model: by rule index, then
-by the insertion ranks of the matched body atoms, literal by literal.  Each
-ground atom is one shared instance, in the model and in every edge.
-Each uncertain firing flips one independent coin, and its edge carries
-that coin's event number (`Hyperedge.event`, 0 for a certain rule),
-counted by rule index, then by the sorted substitution.
+hyperedge per ground rule firing that the queries demand.  The skeleton
+model contains every atom derivable in any possible world, so the recorded
+graph covers all derivations of every demanded atom.
+
+Demand is a magic-sets rewrite (Bancilhon, Maier, Sagiv and Ullman, PODS
+1986; Beeri and Ramakrishnan, J. Logic Programming 1991).  `_demand` finds
+the argument positions that the program's `query` atoms bind, passed left
+to right through the positive bodies.  A rule of a predicate demanded with
+bound positions gets a guard literal on a magic atom, which holds the
+values at those positions under a name with an `@`, so no parsed atom has
+it.  Magic rules derive the guards, from the queries' constants down.  A
+predicate met with nothing bound, or that no query reaches, keeps its rules
+unguarded and is grounded in full.  Magic atoms are join guards only: they
+are never a node, never in an edge, never in the key of a firing.  The
+skeleton model ignores negation, so under demand every rule, magic ones
+included, runs in one fixpoint; a program whose queries bind no argument,
+or that has none, is grounded in full, one stratum after another.
+
+Each rule is evaluated through a `_Plan`, compiled once: variables become
+slots, and each positive literal of a join order knows which of its
+argument positions the literals before it bind.  A literal bound in full
+is one lookup, a literal bound in part reads an index that the database
+keeps per predicate and bound positions, and a rule whose literals are
+all ground is a membership test.  The evaluation is semi-naive: each
+round joins only through the atoms the previous round derived, the delta
+literal first, and a watch index, from each predicate to the plans with
+a positive literal on it, limits a round to the plans its delta can fire.
+It is the only pass over the rules: every firing over the final model is
+met in the round that derives the last of its body atoms, and is recorded
+then.  The edges are sorted afterwards into the order of a rule-by-rule
+join over the final model: by rule index, then by the insertion ranks of
+the matched body atoms, literal by literal.  Each ground atom is one
+shared instance, in the model and in every edge.  Each uncertain firing
+flips one independent coin, and its edge carries that coin's event number
+(`Hyperedge.event`, 0 for a certain rule), counted over the recorded
+firings by rule index, then by the sorted substitution.
 break_cycles unfolds recursive components into depth-indexed copies so
 that downstream passes see an acyclic graph.
 
@@ -187,88 +209,53 @@ class DerivationGraph:
         return order
 
 
-def _match(pattern: Atom, ground: Atom, subst: dict[str, Term]) -> Optional[dict[str, Term]]:
-    """subst extended to make pattern equal ground, or None.
-
-    subst is copied only when the match binds a variable, and returned
-    itself otherwise, so callers must not change what it returns.
-    """
-    if pattern.functor != ground.functor or len(pattern.args) != len(ground.args):
-        return None
-    out = subst
-    for p, g in zip(pattern.args, ground.args):
-        if is_var(p):
-            bound = out.get(p)
-            if bound is None:
-                if out is subst:
-                    out = dict(subst)
-                out[p] = g
-            elif bound != g:
-                return None
-        elif p != g:
-            return None
-    return out
-
-
-def _apply(atom: Atom, subst: dict[str, Term]) -> Atom:
-    if atom.is_ground:
-        return atom
-    return Atom(atom.functor, tuple(subst.get(a, a) if is_var(a) else a for a in atom.args))
-
-
-def _rule_vars(atoms) -> set[str]:
-    return {a for atom in atoms for a in atom.args if is_var(a)}
-
-
-def check_safety(rule: Rule):
-    pos_vars = _rule_vars(l.atom for l in rule.body if not l.negated)
-    other = _rule_vars([rule.head]) | _rule_vars(l.atom for l in rule.body if l.negated)
-    loose = other - pos_vars
-    if loose:
-        raise UnsafeRuleError(f"unsafe rule {rule}: variables {sorted(loose)} "
-                              "do not occur in the positive body")
-
-
 def stratify(program: Program) -> tuple[dict[str, int], bool]:
     """Assign a stratum to every predicate; negation may not cross a cycle.
 
     Also says whether any predicate is recursive: without that, no ground
-    atom can depend on itself either.
+    atom can depend on itself either.  The dependencies are kept in rule
+    and body order, so a program with negation inside a cycle is told of
+    the first such literal, on every run.
     """
-    preds: set[str] = set()
-    edges: dict[str, set[tuple[str, int]]] = {}
-    for f in program.input_facts:
-        preds.add(f.functor)
+    # each predicate's body predicates, in rule and body order
+    deps: dict[str, list[str]] = {f.functor: [] for f in program.input_facts}
+    negations: list[tuple[str, str]] = []
     for r in program.rules:
-        preds.add(r.head.functor)
+        head = r.head.functor
+        ds = deps.get(head)
+        if ds is None:
+            ds = deps[head] = []
         for l in r.body:
-            preds.add(l.atom.functor)
-            sign = -1 if l.negated else 1
-            edges.setdefault(r.head.functor, set()).add((l.atom.functor, sign))
+            ds.append(l.atom.functor)
+            if l.negated:
+                negations.append((head, l.atom.functor))
+    for ds in list(deps.values()):
+        for dep in ds:
+            if dep not in deps:
+                deps[dep] = []
 
-    comp = _tarjan(sorted(preds), lambda p: [q for q, _ in edges.get(p, ())])
+    comp = _tarjan(deps, deps.__getitem__)
     comp_of = {}
     for i, c in enumerate(comp):
         for p in c:
             comp_of[p] = i
-    for head, deps in edges.items():
-        for dep, sign in deps:
-            if sign < 0 and comp_of[head] == comp_of[dep]:
-                raise NonStratifiedError(
-                    f"negation on {dep} inside a recursive component of {head}")
+    for head, dep in negations:
+        if comp_of[head] == comp_of[dep]:
+            raise NonStratifiedError(
+                f"negation on {dep} inside a recursive component of {head}")
 
     # strata: the least with head >= dep (+1 across negation).  A component
     # shares one stratum, as its inner edges are positive, and _tarjan lists
     # the components dependencies first, so one pass settles them all.
+    negated = set(negations)
     strata: dict[str, int] = {}
     for i, c in enumerate(comp):
-        level = max((strata[dep] + (1 if sign < 0 else 0)
-                     for p in c for dep, sign in edges.get(p, ())
-                     if comp_of[dep] != i), default=0)
+        level = max((strata[dep] + ((p, dep) in negated)
+                     for p in c for dep in deps[p] if comp_of[dep] != i),
+                    default=0)
         for p in c:
             strata[p] = level
-    recursive = any(len(c) > 1 or (c[0], 1) in edges.get(c[0], ())
-                    for c in comp)
+    recursive = any(len(c) > 1 or c[0] in deps[c[0]] for c in comp)
     return strata, recursive
 
 
@@ -320,79 +307,326 @@ def _tarjan(nodes, succ) -> list[list]:
     return sccs
 
 
-class _Db:
-    """Ground atoms indexed by functor/arity."""
+Pred = tuple[str, int]  # functor and arity
 
-    def __init__(self):
-        self.by_pred: dict[tuple[str, int], list[Atom]] = {}
-        # a dict, not a set: insertion order keeps grounding order, and the
-        # graph it builds, the same under every hash seed.  Each atom maps
-        # to itself, so a lookup finds the one instance the graph shares.
+
+def _pred(a: Atom) -> Pred:
+    return a.functor, len(a.args)
+
+
+def _demand(program: Program) -> dict[Pred, tuple[int, ...]]:
+    """The argument positions that the queries bind, per rule head.
+
+    A query binds its constants.  A rule passes its head's bound positions
+    on through its positive body, left to right: a literal's position is
+    bound when it holds a constant or a variable that the head or an
+    earlier literal binds.  A negated literal has all its arguments bound,
+    since the positive body binds them.  A predicate that no query reaches,
+    through the rule bodies, is grounded in full: it is met with nothing
+    bound.  A predicate met in several ways keeps the positions bound in
+    all of them, so the analysis runs until no predicate loses a position.
+    Every predicate that heads a rule gets a tuple, empty when it is
+    grounded in full.  Empty when no query binds a position of a rule head.
+    """
+    if not any(q.args for q in program.queries):
+        return {}
+    rules_of: dict[Pred, list[Rule]] = {}
+    for r in program.rules:
+        rules_of.setdefault(_pred(r.head), []).append(r)
+    reached: set[Pred] = set()
+    stack = [_pred(q) for q in program.queries]
+    while stack:
+        pred = stack.pop()
+        if pred in rules_of and pred not in reached:
+            reached.add(pred)
+            stack.extend(_pred(l.atom) for r in rules_of[pred] for l in r.body)
+    bound: dict[Pred, set[int]] = {pred: set() for pred in rules_of
+                                   if pred not in reached}
+    work: list[Pred] = list(bound)
+
+    def meet(a: Atom, known):
+        pred = _pred(a)
+        if pred not in rules_of:
+            return
+        have = {p for p, t in enumerate(a.args) if not is_var(t) or t in known}
+        old = bound.get(pred)
+        if old is None or not old <= have:
+            bound[pred] = have if old is None else old & have
+            work.append(pred)
+
+    for q in program.queries:
+        meet(q, ())
+    while work:
+        pred = work.pop()
+        have = bound[pred]
+        for r in rules_of[pred]:
+            known = {r.head.args[p] for p in have}
+            for l in r.body:
+                if not l.negated:
+                    meet(l.atom, known)
+                    known |= set(l.atom.args)
+            for l in r.body:
+                if l.negated:
+                    meet(l.atom, l.atom.args)
+    if not any(bound.values()):
+        return {}
+    return {pred: tuple(sorted(have)) for pred, have in bound.items()}
+
+
+def _magic_rules(program: Program, demand: dict[Pred, tuple[int, ...]]):
+    """The guard of each rule, and the rules and seeds that derive guards.
+
+    The magic atom of an atom on a predicate demanded with bound positions
+    holds the atom's arguments at those positions, under a name with an
+    `@`, which no parsed atom has.  A rule of such a predicate is guarded
+    by its head's magic atom.  Each rule derives the magic atom of
+    each positive literal from its guard and the literals before it, and
+    that of each negated literal from its guard and its whole positive
+    body; each query seeds its own.  Returns (guards, magic rules, seeds),
+    guards aligned with program.rules and None for an unguarded rule.
+    """
+    def magic(a: Atom) -> Optional[Atom]:
+        positions = demand.get(_pred(a))
+        if not positions:
+            return None
+        return Atom(f"@{a.functor}/{len(a.args)}",
+                    tuple(a.args[p] for p in positions))
+
+    guards = [magic(r.head) for r in program.rules]
+    derive: dict[tuple[Atom, tuple[Atom, ...]], None] = {}
+    for r, guard in zip(program.rules, guards):
+        body = [guard] if guard else []
+        for l in r.body:
+            if not l.negated:
+                m = magic(l.atom)
+                if m is not None and m not in body:
+                    derive[m, tuple(body)] = None
+                body.append(l.atom)
+        for l in r.body:
+            if l.negated and (m := magic(l.atom)) is not None:
+                derive[m, tuple(body)] = None
+    rules = [Rule(m, tuple(Literal(a) for a in body)) for m, body in derive]
+    seeds = [m for q in program.queries if (m := magic(q)) is not None]
+    return guards, rules, seeds
+
+
+class _Db:
+    """Ground atoms, stored for the join plans.
+
+    `all` maps each atom to itself: a dict, not a set, so insertion order
+    keeps grounding order, and the graph it builds, the same under every
+    hash seed, and a lookup finds the one instance the graph shares.
+    `rel` holds the atoms of each predicate that a join reads, given when
+    the database is made, keyed by their argument tuples, in insertion
+    order: a literal that its plan binds in full is one lookup there.
+    `index` groups such a predicate's atoms by their values at some
+    argument positions; it is built when a plan first asks for it and kept
+    up to date as atoms are added.
+    """
+
+    def __init__(self, joined: set[Pred]):
         self.all: dict[Atom, Atom] = {}
+        self.rel: dict[Pred, dict[tuple[Term, ...], Atom]] = {
+            pred: {} for pred in joined}
+        self.indexes: dict[Pred, dict[tuple[int, ...], dict]] = {}
 
     def add(self, a: Atom) -> bool:
         if a in self.all:
             return False
         self.all[a] = a
-        self.by_pred.setdefault((a.functor, len(a.args)), []).append(a)
+        if self.rel:
+            pred = (a.functor, len(a.args))
+            rel = self.rel.get(pred)
+            if rel is not None:
+                rel[a.args] = a
+                for positions, groups in self.indexes.get(pred, {}).items():
+                    groups.setdefault(tuple([a.args[p] for p in positions]),
+                                      []).append(a)
         return True
 
-    def candidates(self, pattern: Atom) -> list[Atom]:
-        return self.by_pred.get((pattern.functor, len(pattern.args)), [])
+    def index(self, pred: Pred, positions: tuple[int, ...]) -> dict:
+        have = self.indexes.setdefault(pred, {})
+        groups = have.get(positions)
+        if groups is None:
+            groups = have[positions] = {}
+            for a in self.rel[pred].values():
+                groups.setdefault(tuple([a.args[p] for p in positions]),
+                                  []).append(a)
+        return groups
 
 
-def _join(pos: list[Atom], k: int, s: dict[str, Term], db: _Db, pin: int,
-          pinned: Atom, matched: list[Atom], out: list) -> None:
-    """Append (substitution, matched atoms) for each grounding of pos[k:].
+class _Plan:
+    """One rule compiled for the semi-naive joins.
 
-    pos[pin] matches only the atom pinned, which is how the semi-naive
-    delta is threaded through; the others match atoms of db.  A literal
-    that the bindings so far make ground is looked up, not matched against
-    every atom of its predicate.
+    Variables become slots, numbered in order of first occurrence in the
+    positive body; a guard, if any, is the first positive literal.  A rule
+    whose positive literals are all ground keeps no join order: it fires
+    when every one of them is in the database.  Any other rule compiles,
+    on first use, one join order per positive literal: that literal first,
+    matched against the round's delta, then the others in body order.
+    Each step there knows which of its literal's positions the earlier
+    steps bind: all of them make it a lookup in `_Db.rel`, some of them a
+    lookup in a `_Db.index`, none a scan of the predicate.
+
+    `index` is the rule's position in the program, or -1 for a rule that
+    derives magic atoms: its firings make no edge.  The key of a firing is
+    the rule index and the atoms its own positive literals matched, the
+    guard left out.
     """
-    if k == len(pos):
-        out.append((s, tuple(matched)))
-        return
-    if k == pin:
-        lit, cands = pos[k], (pinned,)
-    else:
-        lit = _apply(pos[k], s)
-        if lit.is_ground:
-            g = db.all.get(lit)
-            cands = () if g is None else (g,)
-        else:
-            cands = db.candidates(lit)
-    for g in cands:
-        s2 = _match(lit, g, s)
-        if s2 is not None:
-            matched.append(g)
-            _join(pos, k + 1, s2, db, pin, pinned, matched, out)
-            matched.pop()
 
+    __slots__ = ("index", "head", "prob", "neg", "pos", "first", "slot",
+                 "ground", "orders")
 
-def _fire(rule: Rule, index: int, pos: list[Atom], new: _Db, db: _Db,
-          firings: dict, found: dict[Atom, Atom]):
-    """Record rule's firings through the delta; collect their unknown heads.
+    def __init__(self, rule: Rule, index: int, guard: Optional[Atom] = None):
+        pos = tuple(l.atom for l in rule.body if not l.negated)
+        self.neg = tuple(l.atom for l in rule.body if l.negated)
+        self.slot: dict[str, int] = {}
+        for a in pos:
+            if not a.is_ground:
+                for t in a.args:
+                    if is_var(t):
+                        self.slot.setdefault(t, len(self.slot))
+        if not rule.head.is_ground or not all(a.is_ground for a in self.neg):
+            loose = {t for a in (rule.head, *self.neg) for t in a.args
+                     if is_var(t) and t not in self.slot}
+            if loose:
+                raise UnsafeRuleError(f"unsafe rule {rule}: variables "
+                                      f"{sorted(loose)} do not occur in the "
+                                      "positive body")
+        self.index = index
+        self.head = rule.head
+        self.prob = rule.prob
+        self.first = 0 if guard is None else 1
+        self.pos = pos if guard is None else (guard, *pos)
+        self.ground = not self.slot
+        self.orders: Optional[dict[int, list[tuple]]] = \
+            None if self.ground else {}
 
-    Each firing joins one positive literal against the delta atoms in new
-    and the others against db, once for every literal position.  A firing
-    met for the first time goes into firings, keyed by the rule's index and
-    its matched atoms, with its substitution and its head.  The head is the
-    instance db or found already holds, so the graph shares one per atom.
-    """
-    out: list = []
-    for j in range(len(pos)):
-        for d in new.candidates(pos[j]):
-            _join(pos, 0, {}, db, j, d, [], out)
-    for s, matched in out:
-        key = (index, matched)
+    def bind(self, a: Atom, slots: list) -> Atom:
+        """a with its variables replaced by the slots' values."""
+        if a.is_ground:
+            return a
+        return Atom(a.functor, tuple(slots[self.slot[t]] if is_var(t) else t
+                                     for t in a.args))
+
+    def _order(self, j: int, db: _Db) -> list[tuple]:
+        """The steps of the join through the delta at positive literal j.
+
+        A step is (literal, table, key, full, consts, assign, same): the
+        literal's position, the table its candidates come from, how to
+        build the key that selects them (None: every atom of the table),
+        whether that key is the whole argument tuple, and the checks and
+        bindings each candidate goes through: constants to compare (the
+        delta step only), slots to set, slots to compare.
+        """
+        steps = []
+        known: set[str] = set()
+        for k in [j, *(k for k in range(len(self.pos)) if k != j)]:
+            a = self.pos[k]
+            key, consts, assign, same = [], [], [], []
+            for p, t in enumerate(a.args):
+                if not is_var(t):
+                    if k == j:
+                        consts.append((p, t))
+                    else:
+                        key.append((p, False, t))
+                elif t in known:
+                    key.append((p, True, self.slot[t]))
+                elif any(u == t for u in a.args[:p]):
+                    same.append((p, self.slot[t]))
+                else:
+                    assign.append((p, self.slot[t]))
+            known.update(t for t in a.args if is_var(t))
+            pred = _pred(a)
+            full = len(key) == len(a.args)
+            if k == j:
+                table = None
+            elif full or not key:
+                table = db.rel[pred]
+            else:
+                table = db.index(pred, tuple(p for p, _, _ in key))
+            parts = tuple((is_slot, v) for _, is_slot, v in key)
+            steps.append((k, table, parts if key or full else None, full,
+                          consts, assign, same))
+        return steps
+
+    def fire(self, new: dict[Pred, list[Atom]], db: _Db, firings: dict,
+             found: dict[Atom, Atom]):
+        """Record the firings through the delta; collect their new heads.
+
+        A firing met for the first time goes into firings, keyed by the
+        rule index and its matched atoms, with its slot values and its
+        head.  The head is the instance db or found already holds, so the
+        graph shares one per atom.  A magic rule only collects its heads.
+        """
+        if self.ground:
+            matched = []
+            for a in self.pos:
+                g = db.all.get(a)
+                if g is None:
+                    return
+                matched.append(g)
+            self._emit((), matched, db, firings, found)
+            return
+        slots = [None] * len(self.slot)
+        matched = [None] * len(self.pos)
+        for j, a in enumerate(self.pos):
+            cands = new.get(_pred(a))
+            if cands:
+                steps = self.orders.get(j)
+                if steps is None:
+                    steps = self.orders[j] = self._order(j, db)
+                self._join(steps, 0, cands, slots, matched, db, firings,
+                           found)
+
+    def _join(self, steps, k, cands, slots, matched, db, firings, found):
+        lit, _, _, _, consts, assign, same = steps[k]
+        last = k + 1 == len(steps)
+        if not last:
+            _, table, parts, full, _, _, _ = steps[k + 1]
+        for a in cands:
+            args = a.args
+            for p, c in consts:
+                if args[p] != c:
+                    break
+            else:
+                for p, s in assign:
+                    slots[s] = args[p]
+                for p, s in same:
+                    if args[p] != slots[s]:
+                        break
+                else:
+                    matched[lit] = a
+                    if last:
+                        self._emit(slots, matched, db, firings, found)
+                        continue
+                    if parts is None:
+                        nxt = table.values()
+                    else:
+                        key = tuple([slots[v] if is_slot else v
+                                     for is_slot, v in parts])
+                        if full:
+                            g = table.get(key)
+                            nxt = () if g is None else (g,)
+                        else:
+                            nxt = table.get(key, ())
+                    self._join(steps, k + 1, nxt, slots, matched, db,
+                               firings, found)
+
+    def _emit(self, slots, matched, db, firings, found):
+        if self.index < 0:
+            head = self.bind(self.head, slots)
+            if head not in db.all:
+                found.setdefault(head, head)
+            return
+        key = (self.index, tuple(matched[self.first:]))
         if key in firings:
-            continue
-        head = _apply(rule.head, s)
+            return
+        head = self.bind(self.head, slots)
         g = db.all.get(head)
         if g is None:
             g = found.setdefault(head, head)
-        firings[key] = (s, g)
+        firings[key] = (tuple(slots), g)
 
 
 def _subst_order(index: int, s: dict[str, Term]):
@@ -402,7 +636,7 @@ def _subst_order(index: int, s: dict[str, Term]):
 
 
 def solve_standard(program: Program) -> DerivationGraph:
-    """Ground the program and record every rule firing as a hyperedge.
+    """Ground the program and record the demanded rule firings as hyperedges.
 
     One semi-naive pass computes the model and meets every firing over it;
     the first meeting of each is kept.  The edges are then put in the order
@@ -410,65 +644,78 @@ def solve_standard(program: Program) -> DerivationGraph:
     candidates in insertion order: by rule index, then by the insertion
     ranks of the matched atoms.  Each uncertain firing gets its event
     number on its edge, counted in the order of `_subst_order`.
+
+    When the queries bind arguments (`_demand`), the guarded rules and the
+    magic rules (`_magic_rules`) run in one fixpoint over all strata, which
+    is sound because the skeleton model ignores negation; otherwise each
+    stratum runs its own, and the whole program is grounded.
     """
-    for r in program.rules:
-        check_safety(r)
+    demand = _demand(program)
+    guards, magic, seeds = _magic_rules(program, demand) if demand else \
+        ([None] * len(program.rules), [], [])
+    plans = [_Plan(r, i, g)
+             for i, (r, g) in enumerate(zip(program.rules, guards))]
     strata, recursive = stratify(program)
+    plans += [_Plan(r, -1) for r in magic]
     inputs = program.input_facts
 
-    db = _Db()
-    for f in inputs:
+    db = _Db({_pred(a) for plan in plans if not plan.ground
+              for a in plan.pos})
+    for f in [*inputs, *seeds]:
         db.add(f)
 
-    n_strata = max(strata.values(), default=0) + 1
-    rules_by_stratum: list[list[tuple[int, Rule]]] = [[] for _ in range(n_strata)]
-    for i, r in enumerate(program.rules):
-        rules_by_stratum[strata[r.head.functor]].append((i, r))
+    if demand:
+        groups = [range(len(plans))]
+    else:
+        groups = [[] for _ in range(max(strata.values(), default=0) + 1)]
+        for k, plan in enumerate(plans):
+            groups[strata[plan.head.functor]].append(k)
 
-    # fixpoint per stratum, semi-naive: each round only joins through the
-    # atoms discovered in the previous round, indexed like the database so
-    # a literal only meets the delta atoms of its own predicate.  The watch
-    # index maps a predicate to the rules with a positive literal on it, so
-    # a round visits only the rules its delta can fire, in rule order.
-    firings: dict[tuple[int, tuple[Atom, ...]], tuple[dict[str, Term], Atom]] = {}
-    for stratum_rules in rules_by_stratum:
-        bodies = [[l.atom for l in rule.body if not l.negated]
-                  for _, rule in stratum_rules]
-        watch: dict[tuple[str, int], list[int]] = {}
-        for k, pos in enumerate(bodies):
-            for a in pos:
+    # fixpoint per group, semi-naive: each round only joins through the
+    # atoms discovered in the previous round, grouped by predicate so a
+    # literal only meets the delta atoms of its own.  The watch index maps
+    # a predicate to the plans with a positive literal on it, so a round
+    # visits only the plans its delta can fire, in rule order.
+    firings: dict[tuple[int, tuple[Atom, ...]], tuple[tuple, Atom]] = {}
+    for group in groups:
+        watch: dict[Pred, list[int]] = {}
+        for k in group:
+            for a in plans[k].pos:
                 watch.setdefault((a.functor, len(a.args)), []).append(k)
         delta = list(db.all)
-        for (i, rule), pos in zip(stratum_rules, bodies):
-            if not pos:
-                head = _apply(rule.head, {})
+        for k in group:
+            plan = plans[k]
+            if not plan.pos:
+                head = plan.head
                 if db.add(head):
                     delta.append(head)
-                firings[(i, ())] = ({}, db.all[head])
+                if plan.index >= 0:
+                    firings[(plan.index, ())] = ((), db.all[head])
         while delta:
-            new = _Db()
+            new: dict[Pred, list[Atom]] = {}
             for d in delta:
-                new.add(d)
+                new.setdefault((d.functor, len(d.args)), []).append(d)
             found: dict[Atom, Atom] = {}
-            for k in sorted({k for key in new.by_pred
-                             for k in watch.get(key, ())}):
-                i, rule = stratum_rules[k]
-                _fire(rule, i, bodies[k], new, db, firings, found)
+            for k in sorted({k for pred in new for k in watch.get(pred, ())}):
+                plans[k].fire(new, db, firings, found)
             delta = [a for a in found if db.add(a)]
 
     # one event per uncertain ground rule, in declaration order
-    uncertain = sorted((key for key in firings
-                        if program.rules[key[0]].prob < 1.0),
-                       key=lambda key: _subst_order(key[0], firings[key][0]))
+    def subst(key):
+        plan = plans[key[0]]
+        return dict(zip(plan.slot, firings[key][0]))
+
+    uncertain = sorted((key for key in firings if plans[key[0]].prob < 1.0),
+                       key=lambda key: _subst_order(key[0], subst(key)))
     event = {key: n for n, key in enumerate(uncertain, 1)}
     rank = {a: n for n, a in enumerate(db.all)}
     edges: list[Hyperedge] = []
     for key in sorted(firings, key=lambda key: (key[0], [rank[a] for a in key[1]])):
-        s, head = firings[key]
-        rule = program.rules[key[0]]
-        gneg = tuple(g for l in rule.body if l.negated
-                     if (g := db.all.get(_apply(l.atom, s))) is not None)
-        edges.append(Hyperedge(head, key[1], gneg, rule.prob,
+        slots, head = firings[key]
+        plan = plans[key[0]]
+        gneg = tuple(g for a in plan.neg
+                     if (g := db.all.get(plan.bind(a, slots))) is not None)
+        edges.append(Hyperedge(head, key[1], gneg, plan.prob,
                                event.get(key, 0)))
     return DerivationGraph(edges, list(inputs), strata,
                            None if recursive else [])

@@ -248,3 +248,84 @@ def layered_source(width=200, depth=25, class_size=14, extra=6):
         prev = cur
     lines.append(f"query(n{depth - 1}_0).")
     return "\n".join(lines) + "\n"
+
+
+# The smallest program where one fixpoint over all strata renumbers events:
+# negation over a recursive predicate, and two queries that bind constants.
+NEG_OVER_RECURSION = """\
+0.5::e(1,2). 0.5::e(2,3). 0.5::e(3,1). 0.4::e(1,3).
+0.8::r(X,Y) :- e(X,Y).
+0.9::r(X,Z) :- r(X,Y), e(Y,Z).
+0.7::t(X) :- r(X,X).
+0.6::u(X,Y) :- r(X,Y), \\+t(Y).
+query(u(1,3)).
+query(t(2)).
+"""
+
+
+def relational_source(seed):
+    """A small random program over binary predicates and constants.
+
+    The constants mix integers and names.  `r` is a recursive closure of
+    the input relation `e`, through probabilistic rules; `s` negates `r`
+    or `t`; other rules read `r` at a constant, repeat a variable, or put
+    a constant in their head.  The queries are ground atoms on the derived
+    predicates, so they bind constants.  Input facts have marginals only,
+    a few of them declared correlated, so every program is feasible.
+    """
+    rng = np.random.default_rng([seed, 24])
+    pool = [0, 1, 2, 3, "a", "b"]
+    consts = [pool[int(i)] for i in
+              rng.choice(len(pool), int(rng.integers(3, 5)), replace=False)]
+
+    def prob():
+        return f"{float(rng.uniform(0.3, 0.9)):.2f}"
+
+    def rule_prob():
+        return "" if rng.random() < 0.4 else f"{float(rng.uniform(0.5, 0.95)):.2f}::"
+
+    def pick():
+        return consts[int(rng.integers(len(consts)))]
+
+    pairs = [(x, y) for x in consts for y in consts]
+    lines = []
+    edges = []
+    for rel, lo, hi in (("e", 3, 7), ("f", 1, 4)):
+        chosen = rng.choice(len(pairs), int(rng.integers(lo, hi)), replace=False)
+        for k in chosen:
+            x, y = pairs[int(k)]
+            lines.append(f"{prob()}::{rel}({x},{y}).")
+            if rel == "e":
+                edges.append(f"e({x},{y})")
+    if len(edges) > 1 and rng.random() < 0.3:
+        lines.append(f"corr({edges[0]},{edges[1]}).")
+
+    heads = {"r": 2}
+    lines.append(f"{rule_prob()}r(X,Y) :- e(X,Y).")
+    recursion = ["r(X,Z) :- r(X,Y), e(Y,Z).", "r(X,Z) :- e(X,Y), r(Y,Z).",
+                 "r(X,Z) :- r(X,Y), r(Y,Z)."]
+    lines.append(rule_prob() + recursion[int(rng.integers(len(recursion)))])
+    if rng.random() < 0.5:
+        lines.append(f"{rule_prob()}t(X) :- r(X,X).")
+        heads["t"] = 1
+    negated = ["s(X,Y) :- f(X,Y), \\+r(Y,X).", "s(X,Y) :- r(X,Y), \\+f(Y,X)."]
+    if "t" in heads:
+        negated.append("s(X,Y) :- r(X,Y), \\+t(Y).")
+    if rng.random() < 0.7:
+        lines.append(rule_prob() + negated[int(rng.integers(len(negated)))])
+        heads["s"] = 2
+    if rng.random() < 0.4:
+        lines.append(f"{rule_prob()}q(X) :- r({pick()},X).")
+        heads["q"] = 1
+    if rng.random() < 0.3:
+        lines.append(f"{rule_prob()}w(X,X) :- f(X,Y).")
+        heads["w"] = 2
+    if rng.random() < 0.3:
+        lines.append(f"{rule_prob()}r({pick()},Y) :- f(Y,X).")
+
+    names = list(heads)
+    for _ in range(int(rng.integers(1, 4))):
+        head = names[int(rng.integers(len(names)))]
+        args = ",".join(str(pick()) for _ in range(heads[head]))
+        lines.append(f"query({head}({args})).")
+    return "\n".join(lines) + "\n"

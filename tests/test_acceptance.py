@@ -358,13 +358,13 @@ def test_semi_naive_rounds_visit_only_watching_rules(monkeypatch):
     import praline.grounder as grounder
     program = parse(layered_source())
     visits = []
-    fire = grounder._fire
+    fire = grounder._Plan.fire
 
-    def counted(rule, *args):
-        visits.append(rule)
-        return fire(rule, *args)
+    def counted(plan, *args):
+        visits.append(plan)
+        return fire(plan, *args)
 
-    monkeypatch.setattr(grounder, "_fire", counted)
+    monkeypatch.setattr(grounder._Plan, "fire", counted)
     graph = solve_standard(program)
     assert len(graph.derived_nodes) == 5000
     assert len(visits) <= 3 * len(program.rules)

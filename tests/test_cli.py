@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -159,6 +160,16 @@ class TestExitCodes:
                      "query(p(1)).\n")
         assert run(["solve", str(f), "--mode", mode]) == 0
         assert interval_of(capsys.readouterr().out, "p(1)") == (0.45, 0.45)
+
+    def test_non_ground_query_is_a_program_error(self, tmp_path, capsys):
+        # p(1,1) is derivable with probability 0.5; a query with a variable
+        # names no one atom, so it is rejected rather than reported absent
+        f = tmp_path / "open.pl"
+        f.write_text("0.5::e(1,1). p(X,Y) :- e(X,Y). query(p(X,X)).\n")
+        assert run(["solve", str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "query must be ground, got p(X,X)" in err
 
     @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
     def test_rule_with_no_literal_left(self, tmp_path, capsys, mode):
@@ -397,7 +408,8 @@ class TestDumps:
         from praline.symexpr import context_from_program, expr_str, \
             gen_objective
         program = praline.parse(ROADS)
-        graph = solve_standard(program)
+        # the whole graph, as a --query pattern grounds it
+        graph = solve_standard(replace(program, queries=[]))
         target = next(n for n in graph.nodes if str(n) == "path(2,7)")
         expr = expr_str(gen_objective(
             graph, context_from_program(program, graph), target))
@@ -566,3 +578,20 @@ class TestHashSeed:
             runs.append((proc.stdout, doc))
         assert "derivation graph:" in runs[0][0]
         assert runs[0] == runs[1]
+
+    def test_stratification_error_independent_of_hash_seed(self, tmp_path):
+        # q and t both close a cycle through negation with p; the error
+        # names the first negated literal of the first rule, q
+        prog = tmp_path / "cycle.pl"
+        prog.write_text("0.5::a. p :- a, \\+q, \\+t. q :- p. t :- p. "
+                        "query(p).\n")
+        errors = set()
+        for seed in ("0", "1", "2", "3", "4", "5"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "praline.cli", "solve", str(prog)],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 2, proc.stderr
+            errors.add(proc.stderr)
+        assert errors == {"error: negation on q inside a recursive "
+                          "component of p\n"}

@@ -81,11 +81,13 @@ def test_parse_errors():
     ("0.5::a.\n\n  q(X) :- .", ParseError,
      "parse error at 3:11: expected an atom, got '.'"),
     ("a(1,).", ParseError, "parse error at 1:5: expected a term, got ')'"),
+    ("0.5::e(1,1). p(X,Y) :- e(X,Y). query(p(X,X)).", ParseError,
+     "query must be ground, got p(X,X)"),
 ], ids=["bad_char_after_comment", "bad_char_after_comments", "missing_period",
         "unclosed_query", "variable_functor", "variable_functor_in_corr",
         "float_term", "bad_class_id", "probability_range",
         "probability_range_line", "leading_neck", "empty_body",
-        "missing_term"])
+        "missing_term", "non_ground_query"])
 def test_parse_error_messages(src, error, message):
     with pytest.raises(error) as exc:
         parse(src)

@@ -17,12 +17,23 @@ from praline.grounder import (
 )
 
 from conftest import CHAIN as CYCLIC_CHAIN
-from conftest import ROADS, SIXPACK, random_program_source
+from conftest import (
+    NEG_OVER_RECURSION,
+    ROADS,
+    SIXPACK,
+    random_program_source,
+    relational_source,
+)
 from oracles import reference_ground, substitute, unify
 
 
 def ground(src):
     return solve_standard(parse(src))
+
+
+def whole(program):
+    """The whole program's graph: grounded without its queries' demand."""
+    return solve_standard(replace(program, queries=[]))
 
 
 def atoms(strs):
@@ -32,7 +43,7 @@ def atoms(strs):
 
 
 def test_roads_graph(roads):
-    g = solve_standard(roads)
+    g = whole(roads)
     assert g.acyclic  # the path rules never revisit a node on these edges
     p17 = Atom("path", (1, 7))
     edges = [g.edges[i] for i in g.in_edges[p17]]
@@ -59,7 +70,8 @@ def test_event_numbering_puts_integers_before_names():
     # an argument that holds both kinds of constant must not compare an
     # int with a str; the integer's event comes first, whatever the order
     # of the edges
-    g = ground("0.5::e(a). 0.5::e(1). 0.9::p(X) :- e(X). query(p(1)).")
+    g = whole(parse(
+        "0.5::e(a). 0.5::e(1). 0.9::p(X) :- e(X). query(p(1))."))
     assert [(str(e.head), e.event) for e in g.edges] == \
         [("p(a)", 2), ("p(1)", 1)]
 
@@ -176,10 +188,11 @@ def test_pipeline_reads_only_the_query_cone(monkeypatch):
     assert sliced.cycles()
     assert {_source(n) for scc in sliced.cycles() for n in scc} == {"0"}
     assert set(approx_bounds(env)) == set(work.nodes)
-    # the grounder's own graph stays whole for its callers
-    (full,) = grounded
-    assert len(full.edges) == 168
-    assert {_source(n) for scc in full.cycles() for n in scc} != {"0"}
+    # the grounder builds only what the queries' constant 0 demands: 18
+    # edges of the whole program's 168
+    (demanded,) = grounded
+    assert len(demanded.edges) == 18
+    assert {_source(n) for n in demanded.nodes} == {None, "0"}
 
 
 def test_cone_is_self_when_every_edge_is_read(roads):
@@ -309,7 +322,7 @@ def naive_ground(program):
 
 def _assert_matches_naive(src):
     program = parse(src)
-    g = solve_standard(program)
+    g = whole(program)
     model, edges = naive_ground(program)
     assert set(g.nodes) == model
     assert Counter(replace(e, event=0) for e in g.edges) == edges
@@ -343,7 +356,7 @@ def _assert_matches_reference(src):
     # the one-pass grounder sorts its edges into the order the two-pass
     # one enumerates them in; everything built from the edges follows
     program = parse(src)
-    got, want = solve_standard(program), reference_ground(program)
+    got, want = whole(program), reference_ground(program)
     assert got.edges == want.edges  # events included
     assert got.nodes == want.nodes
     assert got.cycles() == want.cycles()
@@ -366,3 +379,81 @@ def test_graph_shares_one_instance_per_atom():
     g = ground(FAN)
     node = {n: n for n in g.nodes}
     assert all(a is node[a] for e in g.edges for a in (e.head, *e.bodies()))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_semi_naive_matches_naive_fixpoint_relational(seed):
+    _assert_matches_naive(relational_source(seed))
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_edges_match_reference_grounder_relational(seed):
+    _assert_matches_reference(relational_source(seed))
+
+
+def _flat(edges):
+    return Counter(replace(e, event=0) for e in edges)
+
+
+def _assert_demand_keeps_the_cone(src):
+    # the queries' constants demand a subgraph of the whole graph, and it
+    # holds all of their cone; each uncertain firing kept has its own event
+    program = parse(src)
+    got, full = solve_standard(program), whole(program)
+    outputs = [q for q in program.queries if q in set(full.nodes)]
+    assert not _flat(got.edges) - _flat(full.edges)
+    assert _flat(got.cone(outputs).edges) == _flat(full.cone(outputs).edges)
+    events = [e.event for e in got.edges if e.prob < 1.0]
+    assert 0 not in events
+    assert len(set(events)) == len(events)
+    assert all(e.event == 0 for e in got.edges if e.prob == 1.0)
+
+
+@pytest.mark.parametrize(
+    "src", [ROADS, CHAIN, CLOSURE, LAYERS, FAN, NEG_OVER_RECURSION],
+    ids=["roads", "chain", "closure", "layers", "fan", "neg_over_recursion"])
+def test_demand_keeps_the_query_cone(src):
+    _assert_demand_keeps_the_cone(src)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_demand_keeps_the_query_cone_relational(seed):
+    _assert_demand_keeps_the_cone(relational_source(seed))
+
+
+def test_demand_follows_the_bound_arguments():
+    # r's first argument is bound by the query and passed on by both r
+    # rules; t is negated, so all its arguments are bound
+    program = parse(NEG_OVER_RECURSION)
+    assert grounder._demand(program) == {
+        ("u", 2): (0, 1), ("r", 2): (0,), ("t", 1): (0,)}
+    g = solve_standard(program)
+    assert {n.args[0] for n in g.derived_nodes if n.functor == "r"} == {1, 2, 3}
+    # a query with no argument, or none at all, demands nothing
+    assert grounder._demand(parse("0.5::a. p :- a. query(p).")) == {}
+    assert grounder._demand(replace(program, queries=[])) == {}
+
+
+def test_demand_meets_a_predicate_with_nothing_bound():
+    # q reads r with nothing bound, so r is grounded in full; p only at 1
+    program = parse("0.5::e(1,2). 0.5::e(2,3). r(X,Y) :- e(X,Y). "
+                    "q :- r(X,Y). p(X) :- r(X,Y). query(p(1)). query(q).")
+    assert grounder._demand(program) == {
+        ("p", 1): (0,), ("r", 2): (), ("q", 0): ()}
+    assert sorted(map(str, solve_standard(program).derived_nodes)) == \
+        ["p(1)", "q", "r(1,2)", "r(2,3)"]
+
+
+def test_predicate_no_query_reaches_is_grounded_in_full():
+    # no query reaches s, so s is met with nothing bound; its negated
+    # literal demands the r atom each of its firings names
+    program = parse("0.5::e(1,2). 0.5::e(2,1). 0.5::f(2,1). "
+                    "r(X,Y) :- e(X,Y). s(X,Y) :- f(X,Y), \\+r(Y,X). "
+                    "query(r(2,1)).")
+    assert grounder._demand(program) == {("r", 2): (0, 1), ("s", 2): ()}
+    assert _flat(solve_standard(program).edges) == _flat(whole(program).edges)
+
+
+def test_magic_atoms_stay_out_of_the_graph():
+    g = solve_standard(parse(NEG_OVER_RECURSION))
+    assert all("@" not in n.functor for n in g.nodes)
