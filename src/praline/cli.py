@@ -341,9 +341,9 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging()
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             src = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:

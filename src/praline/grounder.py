@@ -15,10 +15,12 @@ values at those positions under a name with an `@`, so no parsed atom has
 it.  Magic rules derive the guards, from the queries' constants down.  A
 predicate met with nothing bound, or that no query reaches, keeps its rules
 unguarded and is grounded in full.  Magic atoms are join guards only: they
-are never a node, never in an edge, never in the key of a firing.  The
-skeleton model ignores negation, so under demand every rule, magic ones
-included, runs in one fixpoint; a program whose queries bind no argument,
-or that has none, is grounded in full, one stratum after another.
+are never a node, never in an edge, never in the key of a firing.  A
+program whose queries bind no argument, or that has none, is grounded in
+full.  Either way one fixpoint runs every rule, magic ones included: the
+skeleton model ignores negation, so strata change no atom and no firing.
+`stratify` only rejects negation through recursion and says whether the
+program is recursive; the world oracle stratifies the program itself.
 
 Each rule is evaluated through a `_Plan`, compiled once: variables become
 slots, and each positive literal of a join order knows which of its
@@ -111,7 +113,6 @@ class DerivationGraph:
 
     edges: list[Hyperedge]
     input_facts: list[Atom]
-    strata: dict[str, int]
     components: InitVar[Optional[list[list[Atom]]]]
     # synthetic leaf -> the input fact it stands for (see break_cycles)
     input_alias: dict[Atom, Atom] = field(default_factory=dict)
@@ -177,7 +178,6 @@ class DerivationGraph:
             return self
         return DerivationGraph(
             [self.edges[i] for i in sorted(kept)], self.input_facts,
-            self.strata,
             [scc for scc in self._cycles if scc[0] in seen], self.input_alias)
 
     def topo_order(self) -> list[Atom]:
@@ -327,6 +327,8 @@ def _demand(program: Program) -> dict[Pred, tuple[int, ...]]:
     all of them, so the analysis runs until no predicate loses a position.
     Every predicate that heads a rule gets a tuple, empty when it is
     grounded in full.  Empty when no query binds a position of a rule head.
+    Demand picks the atoms grounded, not the schedule: guarded or not,
+    every rule runs in `solve_standard`'s one fixpoint.
     """
     if not any(q.args for q in program.queries):
         return {}
@@ -645,17 +647,17 @@ def solve_standard(program: Program) -> DerivationGraph:
     ranks of the matched atoms.  Each uncertain firing gets its event
     number on its edge, counted in the order of `_subst_order`.
 
-    When the queries bind arguments (`_demand`), the guarded rules and the
-    magic rules (`_magic_rules`) run in one fixpoint over all strata, which
-    is sound because the skeleton model ignores negation; otherwise each
-    stratum runs its own, and the whole program is grounded.
+    Every rule runs in that fixpoint, whatever its stratum: a negated
+    literal is only looked up in the final model, when the edges are built.
+    When the queries bind arguments (`_demand`), the magic rules
+    (`_magic_rules`) join the guarded ones; else the whole program runs.
     """
     demand = _demand(program)
     guards, magic, seeds = _magic_rules(program, demand) if demand else \
         ([None] * len(program.rules), [], [])
     plans = [_Plan(r, i, g)
              for i, (r, g) in enumerate(zip(program.rules, guards))]
-    strata, recursive = stratify(program)
+    _, recursive = stratify(program)
     plans += [_Plan(r, -1) for r in magic]
     inputs = program.input_facts
 
@@ -664,41 +666,32 @@ def solve_standard(program: Program) -> DerivationGraph:
     for f in [*inputs, *seeds]:
         db.add(f)
 
-    if demand:
-        groups = [range(len(plans))]
-    else:
-        groups = [[] for _ in range(max(strata.values(), default=0) + 1)]
-        for k, plan in enumerate(plans):
-            groups[strata[plan.head.functor]].append(k)
-
-    # fixpoint per group, semi-naive: each round only joins through the
-    # atoms discovered in the previous round, grouped by predicate so a
-    # literal only meets the delta atoms of its own.  The watch index maps
-    # a predicate to the plans with a positive literal on it, so a round
-    # visits only the plans its delta can fire, in rule order.
+    # semi-naive: each round only joins through the atoms discovered in the
+    # previous round, grouped by predicate so a literal only meets the
+    # delta atoms of its own.  The watch index maps a predicate to the
+    # plans with a positive literal on it, so a round visits only the plans
+    # its delta can fire, in rule order.
+    watch: dict[Pred, list[int]] = {}
+    for k, plan in enumerate(plans):
+        for a in plan.pos:
+            watch.setdefault((a.functor, len(a.args)), []).append(k)
     firings: dict[tuple[int, tuple[Atom, ...]], tuple[tuple, Atom]] = {}
-    for group in groups:
-        watch: dict[Pred, list[int]] = {}
-        for k in group:
-            for a in plans[k].pos:
-                watch.setdefault((a.functor, len(a.args)), []).append(k)
-        delta = list(db.all)
-        for k in group:
-            plan = plans[k]
-            if not plan.pos:
-                head = plan.head
-                if db.add(head):
-                    delta.append(head)
-                if plan.index >= 0:
-                    firings[(plan.index, ())] = ((), db.all[head])
-        while delta:
-            new: dict[Pred, list[Atom]] = {}
-            for d in delta:
-                new.setdefault((d.functor, len(d.args)), []).append(d)
-            found: dict[Atom, Atom] = {}
-            for k in sorted({k for pred in new for k in watch.get(pred, ())}):
-                plans[k].fire(new, db, firings, found)
-            delta = [a for a in found if db.add(a)]
+    delta = list(db.all)
+    for plan in plans:
+        if not plan.pos:
+            head = plan.head
+            if db.add(head):
+                delta.append(head)
+            if plan.index >= 0:
+                firings[(plan.index, ())] = ((), db.all[head])
+    while delta:
+        new: dict[Pred, list[Atom]] = {}
+        for d in delta:
+            new.setdefault((d.functor, len(d.args)), []).append(d)
+        found: dict[Atom, Atom] = {}
+        for k in sorted({k for pred in new for k in watch.get(pred, ())}):
+            plans[k].fire(new, db, firings, found)
+        delta = [a for a in found if db.add(a)]
 
     # one event per uncertain ground rule, in declaration order
     def subst(key):
@@ -717,8 +710,7 @@ def solve_standard(program: Program) -> DerivationGraph:
                      if (g := db.all.get(plan.bind(a, slots))) is not None)
         edges.append(Hyperedge(head, key[1], gneg, plan.prob,
                                event.get(key, 0)))
-    return DerivationGraph(edges, list(inputs), strata,
-                           None if recursive else [])
+    return DerivationGraph(edges, list(inputs), None if recursive else [])
 
 
 def _find_cycles(g: DerivationGraph) -> list[list[Atom]]:
@@ -827,7 +819,7 @@ def break_cycles(g: DerivationGraph) -> DerivationGraph:
 
     all_aliases = {**g.input_alias, **aliases}
     new_edges = _prune_false(new_edges, g.input_facts, all_aliases)
-    g2 = DerivationGraph(new_edges, g.input_facts, g.strata, [], all_aliases)
+    g2 = DerivationGraph(new_edges, g.input_facts, [], all_aliases)
     try:
         g2.topo_order()
     except PralineError:

@@ -16,7 +16,7 @@ import numpy as np
 from praline.constraints import ConstraintSystem
 from praline.corrtypes import CorrEnv
 from praline.frontend import Atom, InfeasibleError, Program, ScaleError
-from praline.grounder import DerivationGraph
+from praline.grounder import DerivationGraph, stratify
 from praline.kernels import fixpoint_table, world_weights
 from praline.optimizer import optimize_exact
 from praline.symexpr import gen_objective
@@ -49,6 +49,13 @@ class WorldSpace:
 
 
 def build_world_space(program: Program, graph: DerivationGraph) -> WorldSpace:
+    """The world enumeration of a program's ground graph, cyclic or unfolded.
+
+    Edges are grouped by their head predicate's stratum in
+    `stratify(program)`, an unfolded copy `p@k` by that of `p`, so each
+    stratum reaches its fixpoint before a negation reads it.
+    """
+    strata, _ = stratify(program)
     fact_bit = {}
     cls_off = [0]
     cls_bits = []
@@ -84,8 +91,7 @@ def build_world_space(program: Program, graph: DerivationGraph) -> WorldSpace:
             input_bit[i] = fact_bit[base]
 
     def stratum(e) -> int:
-        functor = e.head.functor.split("@")[0]
-        return graph.strata.get(functor, 0)
+        return strata.get(e.head.functor.split("@")[0], 0)
 
     order = sorted(range(len(graph.edges)),
                    key=lambda i: (stratum(graph.edges[i]), i))

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import numpy as np
 
 from praline.frontend import Atom, is_var
-from praline.grounder import DerivationGraph, Hyperedge, stratify
+from praline.grounder import DerivationGraph, Hyperedge
 from praline.symexpr import (
     coeff_add,
     coeff_joint,
@@ -226,13 +226,13 @@ def _ordered_join(pos, by_pred, s, k=0, pinned=(-1, None)):
 def reference_ground(program):
     """The derivation graph by two passes over the rules.
 
-    A semi-naive fixpoint per stratum computes the model; then every rule
-    is joined again over the final model, rule by rule and each literal's
-    atoms in the order the fixpoint found them, and the first firing of
-    each ground rule is its edge.  Events are numbered by rule index, then
-    by the substitution sorted by variable, integer constants before names.
+    One semi-naive fixpoint over every rule, negation ignored, computes the
+    model; then every rule is joined again over the final model, rule by
+    rule and each literal's atoms in the order the fixpoint found them, and
+    the first firing of each ground rule is its edge.  Events are numbered
+    by rule index, then by the substitution sorted by variable, integer
+    constants before names.
     """
-    strata, _ = stratify(program)
     model = {}
     by_pred = {}
 
@@ -245,24 +245,23 @@ def reference_ground(program):
 
     for f in program.input_facts:
         add(f)
-    for level in range(max(strata.values(), default=0) + 1):
-        rules = [(r, [l.atom for l in r.body if not l.negated])
-                 for r in program.rules if strata[r.head.functor] == level]
-        delta = list(model)
+    rules = [(r, [l.atom for l in r.body if not l.negated])
+             for r in program.rules]
+    delta = list(model)
+    for r, pos in rules:
+        if not pos and add(r.head):
+            delta.append(r.head)
+    while delta:
+        new = {}
+        for d in delta:
+            new.setdefault((d.functor, len(d.args)), []).append(d)
+        found = {}
         for r, pos in rules:
-            if not pos and add(r.head):
-                delta.append(r.head)
-        while delta:
-            new = {}
-            for d in delta:
-                new.setdefault((d.functor, len(d.args)), []).append(d)
-            found = {}
-            for r, pos in rules:
-                for j, lit in enumerate(pos):
-                    for d in new.get((lit.functor, len(lit.args)), ()):
-                        for s in _ordered_join(pos, by_pred, {}, 0, (j, d)):
-                            found.setdefault(substitute(r.head, s))
-            delta = [a for a in found if add(a)]
+            for j, lit in enumerate(pos):
+                for d in new.get((lit.functor, len(lit.args)), ()):
+                    for s in _ordered_join(pos, by_pred, {}, 0, (j, d)):
+                        found.setdefault(substitute(r.head, s))
+        delta = [a for a in found if add(a)]
 
     firings = {}  # (rule index, sorted substitution) -> its first grounding
     for i, r in enumerate(program.rules):
@@ -279,4 +278,4 @@ def reference_ground(program):
                                   for v, t in key[1]]))
     event = {key: n for n, key in enumerate(uncertain, 1)}
     edges = [Hyperedge(*f, event.get(key, 0)) for key, f in firings.items()]
-    return DerivationGraph(edges, program.input_facts, strata, None)
+    return DerivationGraph(edges, program.input_facts, None)

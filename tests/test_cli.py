@@ -117,6 +117,17 @@ class TestExitCodes:
         code = run(["solve", "/nonexistent/prog.pl"])
         assert code == 2
 
+    @pytest.mark.parametrize("cmd", ["solve", "oracle"])
+    def test_file_that_is_not_utf8(self, tmp_path, capsys, cmd):
+        # read as UTF-8 whatever the locale; a bad byte is one error line
+        f = tmp_path / "latin.pl"
+        f.write_bytes(b"\xff\xfe0.5::a.")
+        assert run([cmd, str(f)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "utf-8" in err
+        assert len(err.splitlines()) == 1
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["solve", "x.pl", "--mode", "bogus"])

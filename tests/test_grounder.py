@@ -7,19 +7,21 @@ import pytest
 import praline.grounder as grounder
 from praline import Atom, NonStratifiedError, parse
 from praline.approx import approx_bounds
-from praline.cli import _pipeline, solve_source
+from praline.cli import _pipeline, run, solve_source
 from praline.grounder import (
     Hyperedge,
     UnsafeRuleError,
     break_cycles,
     depends,
     solve_standard,
+    stratify,
 )
 
 from conftest import CHAIN as CYCLIC_CHAIN
 from conftest import (
     NEG_OVER_RECURSION,
     ROADS,
+    SCHEDULE,
     SIXPACK,
     random_program_source,
     relational_source,
@@ -121,8 +123,10 @@ def test_nonstratified_rejected():
 
 
 def test_stratified_negation_layers():
-    g = ground("0.5::a. 1::p :- a. 1::q :- \\+p. 1::r :- \\+q.")
-    assert g.strata["p"] < g.strata["q"] < g.strata["r"]
+    strata, recursive = stratify(
+        parse("0.5::a. 1::p :- a. 1::q :- \\+p. 1::r :- \\+q."))
+    assert strata["p"] < strata["q"] < strata["r"]
+    assert not recursive
 
 
 def test_cycle_detection_and_unfolding():
@@ -328,8 +332,9 @@ def _assert_matches_naive(src):
     assert Counter(replace(e, event=0) for e in g.edges) == edges
 
 
-@pytest.mark.parametrize("src", [ROADS, CHAIN, CLOSURE, LAYERS],
-                         ids=["roads", "chain", "closure", "layers"])
+@pytest.mark.parametrize("src", [ROADS, CHAIN, CLOSURE, LAYERS, SCHEDULE],
+                         ids=["roads", "chain", "closure", "layers",
+                              "schedule"])
 def test_semi_naive_matches_naive_fixpoint(src):
     _assert_matches_naive(src)
 
@@ -363,11 +368,24 @@ def _assert_matches_reference(src):
 
 
 @pytest.mark.parametrize(
-    "src", [ROADS, SIXPACK, CYCLIC_CHAIN, CHAIN, CLOSURE, LAYERS, FAN],
+    "src", [ROADS, SIXPACK, CYCLIC_CHAIN, CHAIN, CLOSURE, LAYERS, FAN,
+            SCHEDULE],
     ids=["roads", "sixpack", "cyclic_chain", "chain", "closure", "layers",
-         "fan"])
+         "fan", "schedule"])
 def test_edges_match_reference_grounder(src):
     _assert_matches_reference(src)
+
+
+def test_schedule_sensitive_program_answers(tmp_path, capsys):
+    # h's edges follow the one fixpoint's order of the p atoms; every mode,
+    # and the oracle's exact column, gives the one value
+    for mode in ("exact", "approx", "delta"):
+        assert solve_source(SCHEDULE, mode=mode).render() == \
+            "h: [0.690436, 0.690436]", mode
+    path = tmp_path / "schedule.pl"
+    path.write_text(SCHEDULE)
+    assert run(["oracle", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("h: exact [0.690436, 0.690436]")
 
 
 @pytest.mark.parametrize("seed", range(200))
@@ -410,8 +428,9 @@ def _assert_demand_keeps_the_cone(src):
 
 
 @pytest.mark.parametrize(
-    "src", [ROADS, CHAIN, CLOSURE, LAYERS, FAN, NEG_OVER_RECURSION],
-    ids=["roads", "chain", "closure", "layers", "fan", "neg_over_recursion"])
+    "src", [ROADS, CHAIN, CLOSURE, LAYERS, FAN, NEG_OVER_RECURSION, SCHEDULE],
+    ids=["roads", "chain", "closure", "layers", "fan", "neg_over_recursion",
+         "schedule"])
 def test_demand_keeps_the_query_cone(src):
     _assert_demand_keeps_the_cone(src)
 
