@@ -163,13 +163,19 @@ class ClassSystem:
         A declared marginal p::member. is one of the polytope's equalities,
         so its range is [p, p] with no vertex or LP.  A class too big for
         rows gets the unit interval, before any row over its assignments.
+        Otherwise the range sums vertex coordinates, which can pass 1 (or
+        come out -0.0) by rounding; a probability never leaves [0, 1], so
+        the range is clamped into it.
         """
         if self.too_big:
             return 0.0, 1.0
         if bit not in self._ranges:
             p = self.marginals.get(bit)
-            self._ranges[bit] = (p, p) if p is not None \
-                else self.range(bit_row(self.dim, bit))
+            if p is None:
+                lo, hi = self.range(bit_row(self.dim, bit))
+                self._ranges[bit] = (lo if lo > 0.0 else 0.0, min(hi, 1.0))
+            else:
+                self._ranges[bit] = (p, p)
         return self._ranges[bit]
 
     def pretty(self) -> list[str]:

@@ -1,9 +1,10 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Two workloads dominate runtime: solving many small linear systems during
-vertex enumeration, and evaluating the least model over every world during
-oracle runs.  Each kernel works on whole batches of supports or worlds at
-once.
+Two workloads dominate runtime: solving many small square linear systems
+during vertex enumeration, one per basis of a class system reduced by its
+SVD to orthonormal rows, and evaluating the least model over every world
+during oracle runs.  Each kernel works on whole batches of supports or
+worlds at once.
 """
 
 from __future__ import annotations
@@ -22,16 +23,26 @@ def active_lane() -> str:
 # support solving: for each column subset S of A, solve A[:, S] y = b
 # ---------------------------------------------------------------------------
 
-# supports solved per batched SVD
-SVD_CHUNK = 2048
+# supports solved per batched call
+SOLVE_CHUNK = 2048
+# a basis with |det A[:, S]| at or below this is singular.  For A with
+# orthonormal rows every |det A[:, S]| is at most 1 and at most the basis's
+# smallest singular value, so the test does not depend on the scale of the
+# system whose SVD gave those rows.
+DET_TOL = 1e-10
 
 
 def solve_supports(a, b, combos):
     """Solve A[:, S] y = b for every row S of combos.
 
-    Returns (ys, ok) where ok marks subsets whose columns are linearly
-    independent; rows with ok False carry no meaningful solution.  Residual
-    and sign checks are left to the caller.
+    A has as many rows as each S has columns, so every basis A[:, S] is
+    square: a chunk of bases is one batched LU determinant and one batched
+    `np.linalg.solve`.  Vertex enumeration passes the orthonormal rows of
+    a class system's SVD, which keeps the determinant test scale-free.
+
+    Returns (ys, ok) where ok marks the bases with |det A[:, S]| > DET_TOL;
+    rows with ok False carry no meaningful solution.  Residual and sign
+    checks are left to the caller.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
@@ -40,16 +51,16 @@ def solve_supports(a, b, combos):
         r = combos.shape[1] if combos.ndim == 2 else 0
         return np.zeros((0, r)), np.zeros(0, dtype=bool)
     n, r = combos.shape
-    ys = np.zeros((n, r))
-    ok = np.zeros(n, dtype=bool)
-    for lo in range(0, n, SVD_CHUNK):
-        hi = min(lo + SVD_CHUNK, n)
-        cols = np.moveaxis(a[:, combos[lo:hi]], 0, 1)  # (c, m, r)
-        u, s, vt = np.linalg.svd(cols, full_matrices=False)
-        good = s[:, -1] > 1e-10 * np.maximum(s[:, 0], 1.0)
-        safe = np.where(s > 0, s, 1.0)
-        ub = np.einsum("cmk,m->ck", u, b)
-        ys[lo:hi] = np.einsum("ckr,ck->cr", vt, ub / safe)
+    ys = np.empty((n, r))
+    ok = np.empty(n, dtype=bool)
+    eye = np.eye(r)
+    for lo in range(0, n, SOLVE_CHUNK):
+        hi = min(lo + SOLVE_CHUNK, n)
+        bases = a.T[combos[lo:hi]].swapaxes(1, 2)  # (c, r, r)
+        good = np.abs(np.linalg.det(bases)) > DET_TOL
+        # one singular matrix would make the batched solve raise
+        bases[~good] = eye
+        ys[lo:hi] = np.linalg.solve(bases, b[:, None])[:, :, 0]
         ok[lo:hi] = good
     return ys, ok
 

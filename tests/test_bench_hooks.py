@@ -11,7 +11,9 @@ change to one of them fails its output check.
 import importlib
 import importlib.util
 import pathlib
+from math import comb
 
+import numpy as np
 import pytest
 
 from praline.cli import solve_source
@@ -60,3 +62,25 @@ def test_checker_samples_stay_inside_the_exact_intervals():
         assert len(probs) == 3
         assert exact[atom].lower - 1e-9 <= probs.min()
         assert probs.max() <= exact[atom].upper + 1e-9
+
+
+def test_support_count_is_one_row_per_basis(monkeypatch):
+    # spans.py counts `kernels.supports` as len(args[2]) of solve_supports
+    optimizer = importlib.import_module("praline.optimizer")
+    solve = optimizer.solve_supports
+    calls = []
+
+    def spy(a, b, combos):
+        calls.append((np.shape(a), np.asarray(combos)))
+        return solve(a, b, combos)
+
+    monkeypatch.setattr(optimizer, "solve_supports", spy)
+    solve_source(ROADS, mode="exact")
+    assert calls
+    for (r, d), combos in calls:
+        # the reduced system has r rows over the class's d columns; each
+        # basis is a distinct set of r of those columns
+        assert combos.shape == (comb(d, r), r)
+        bases = {frozenset(row) for row in combos.tolist()}
+        assert len(bases) == comb(d, r)
+        assert all(len(s) == r and s <= set(range(d)) for s in bases)

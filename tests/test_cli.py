@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -20,6 +21,23 @@ WIDE = "".join(f"0.5 :: a{i}.\n" for i in range(1, 14)) + \
 
 # one 17-fact class: past MAX_CONSTRAINT_BITS, so it gets no rows
 BIG = "corr(" + ",".join(f"f{i}" for i in range(17)) + ").\n0.5::f0.\n"
+
+# i0 has no declaration, and the vertices of its class sum its marginal's
+# upper end to 1 + 2^-52 by rounding; d0 negates i0, which turned that
+# into a lower end of -2^-52, printed as -0
+FREE_NEGATED = """\
+0.581707::i2.
+corr(i0,i1,i2).
+0.402108::i3.
+0.581955::i4.
+corr(i4,i5).
+d0 :- i5, \\+i0.
+d1 :- i4, i5.
+0.92::d2 :- i5.
+d3 :- i2.
+query(d2).
+query(d0).
+"""
 
 
 @pytest.fixture
@@ -351,6 +369,22 @@ class TestJsonReport:
                     str(tmp_path / "r.json")]) == 0
         capsys.readouterr()
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["approx", "exact", "delta"])
+    def test_no_negative_endpoint(self, tmp_path, capsys, mode):
+        src = tmp_path / "free.pl"
+        src.write_text(FREE_NEGATED)
+        out_path = tmp_path / "r.json"
+        assert run(["solve", str(src), "--mode", mode,
+                    "--json", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        facts = json.loads(out_path.read_text())["facts"]
+        assert [f["atom"] for f in facts] == ["d0", "d2"]
+        for f in facts:
+            text = interval_of(out, f["atom"])
+            assert text == pytest.approx((f["lower"], f["upper"]), abs=1e-6)
+            for v in (*text, f["lower"], f["upper"]):
+                assert math.copysign(1.0, v) == 1.0
 
     @pytest.mark.parametrize("target", ["", "missing/r.json"])
     def test_unwritable_path_is_an_error(self, roads_file, tmp_path, capsys,

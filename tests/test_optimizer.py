@@ -1,16 +1,19 @@
 from fractions import Fraction
 
 import numpy as np
-from numpy.testing import assert_allclose
+import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
 from praline import parse
 from praline.constraints import gen_constraints
+from praline.frontend import DimensionCapExceeded
 from praline.grounder import solve_standard
 from praline.kernels import solve_supports
-from praline.optimizer import enumerate_class_vertices, optimize_exact
+from praline.optimizer import (enumerate_class_vertices, optimize_exact,
+                               unique_rows)
 from praline.symexpr import context_from_program, eval_expr, gen_objective
 
-from conftest import ROADS_EXACT, SIXPACK_E
+from conftest import CONFLICT, ROADS_EXACT, SIXPACK_E, relational_source
 from oracles import assert_same_rows, rational_vertices
 
 
@@ -36,7 +39,60 @@ def roads_v4_rational():
     return rows, rhs
 
 
+def assert_rational_vertices(cs):
+    """The class's vertices are its exact rational ones, to 1e-12."""
+    want = rational_vertices([list(map(float, r)) for r in cs.a_eq],
+                             list(map(float, cs.b_eq)))
+    want = np.array([[float(v) for v in vert] for vert in want])
+    assert_same_rows(enumerate_class_vertices(cs), want, atol=1e-12)
+
+
 class TestVertexEnumeration:
+    @pytest.mark.parametrize("source, corank", [
+        ("0.3::a.", 0),
+        ("0.3::a.\n0.6::b.\ncorr(a,b).", 1),
+        ("corr(a,b).", 3),
+        ("0.2::a.\n0.3::b.\n0.4::c.\n0.5::a|b.\ncorr(a,b,c).", 3),
+        ("0.3::a.\ncorr(a,b,c).", 6),
+    ])
+    def test_corank_matches_rational_oracle(self, source, corank):
+        _, _, system = pipeline(parse(source + "\nq :- a.\nquery(q).\n"))
+        cs = system.classes[0]
+        assert cs.dim - np.linalg.matrix_rank(cs.a_eq) == corank
+        assert_rational_vertices(cs)
+
+    @pytest.mark.parametrize("source", [
+        "0::a.\n1::b.\ncorr(a,b).",
+        # the given b has probability 0, so the conditional's row
+        # P(a and b) - 0.7 P(b) = 0 holds on a zero mass
+        "0::b.\n0.7::a|b.\ncorr(a,b).",
+    ])
+    def test_degenerate_vertices_match_rational_oracle(self, source):
+        _, _, system = pipeline(parse(source + "\nq :- a.\nquery(q).\n"))
+        assert_rational_vertices(system.classes[0])
+
+    def test_conflicting_class_has_no_vertex(self):
+        _, _, system = pipeline(parse(CONFLICT))
+        cs = system.classes[0]
+        assert enumerate_class_vertices(cs).shape == (0, cs.dim)
+        assert rational_vertices(cs.a_eq.tolist(), cs.b_eq.tolist()) == []
+
+    def test_relational_classes_match_rational_oracle(self):
+        for seed in range(100):
+            _, _, system = pipeline(parse(relational_source(seed)))
+            for cs in system.classes:
+                if not cs.too_big:
+                    assert_rational_vertices(cs)
+
+    def test_class_past_support_cap_raises(self):
+        # 4 independent rows over 64 columns: C(64, 4) bases
+        _, _, system = pipeline(parse(
+            "0.5::a.\n0.5::b.\n0.5::c.\ncorr(a,b,c,d,e,f).\n"
+            "q :- a.\nquery(q).\n"))
+        with pytest.raises(DimensionCapExceeded,
+                           match=r"^635376 support subsets for class V$"):
+            enumerate_class_vertices(system.classes[0])
+
     def test_singleton_point(self, roads):
         _, _, system = pipeline(roads)
         verts = enumerate_class_vertices(system.classes[0])
@@ -69,6 +125,29 @@ class TestVertexEnumeration:
         want = np.array([[float(v) for v in vert]
                          for vert in rational_vertices(rows, rhs)])
         assert_same_rows(verts, want, atol=1e-7)
+
+
+class TestUniqueRows:
+    def test_matches_np_unique(self):
+        rng = np.random.default_rng(0)
+        arrays = [np.zeros((0, 4)), rng.random((1, 4)),
+                  np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0 - 1e-12]])]
+        for _ in range(200):
+            d = int(rng.integers(1, 9))
+            base = np.vstack([rng.random((int(rng.integers(1, 5)), d)),
+                              rng.integers(0, 2, (int(rng.integers(1, 5)), d))
+                              .astype(float)])
+            xs = base[rng.integers(0, len(base), int(rng.integers(2, 16)))]
+            # exact ties, and near-duplicates within 1e-10
+            near = rng.random(len(xs)) < 0.5
+            xs[near] += rng.uniform(-1e-10, 1e-10, (near.sum(), d))
+            arrays.append(xs)
+        for xs in arrays:
+            want = xs[np.unique(np.round(xs, 9), axis=0,
+                                return_index=True)[1]]
+            got = unique_rows(xs)
+            assert got.shape == want.shape
+            assert_array_equal(got, want)
 
 
 class TestSolveSupports:
