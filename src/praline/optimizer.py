@@ -3,8 +3,22 @@
 The objective generated for a derived fact is multilinear in the joint
 distributions of the correlation classes it depends on.  A multilinear
 function over a product of polytopes attains its extrema at products of
-polytope vertices, so the exact optimum is a finite search: take each
-class polytope's vertices and scan all combinations by tensor contraction.
+polytope vertices (Rikun 1997), so the exact optimum is a finite search
+over each class polytope's vertices.
+
+Each term reads a class only through one cell sum: the mass of the
+assignments its (mask, value) pattern holds.  So the search works from
+what the objective reads.  Each class's vertex rows are projected onto the
+distinct patterns its terms fix there (one matmul against a cached 0/1
+pattern matrix), and a template indexed by pattern, each term's lambda at
+its tuple of patterns, is contracted with those projections.  A class
+whose terms fix more patterns than it has assignments keeps its
+assignments as columns, so no contraction is larger than the dense one
+over full assignments.  For a fixed choice in the other classes the
+objective is affine in a class's cell sums; a class read through at most
+one pattern besides the free one (whose sum is 1) therefore keeps only the
+rows where that pattern's sum is least and greatest.  `GLOBAL_COMBO_CAP`
+counts the product of the rows kept.
 
 Vertex enumeration lives here; each `ClassSystem` calls it once and keeps
 the result, which its ranges, feasible point and this search all read.  It
@@ -26,7 +40,7 @@ import numpy as np
 
 from praline.frontend import DimensionCapExceeded
 from praline.kernels import solve_supports
-from praline.symexpr import ProbExpr, coeff_eval
+from praline.symexpr import ProbExpr, cell_index, coeff_eval
 
 if TYPE_CHECKING:
     from praline.constraints import ClassSystem, ConstraintSystem
@@ -120,15 +134,6 @@ def unique_rows(xs: np.ndarray) -> np.ndarray:
     return xs[order[first]]
 
 
-def _dense_template(expr: ProbExpr) -> np.ndarray:
-    """The objective's value at every class assignment of its support."""
-    dims = tuple(1 << expr.ctx.classes[c].size for c in expr.support)
-    t = np.zeros(dims if dims else (1,))
-    for cell, lam in expr.terms.items():
-        t[np.ix_(*expr.indices(cell))] = coeff_eval(lam, expr.ctx.var_prob)
-    return t
-
-
 def support_vertices(system: ConstraintSystem, support) -> list[np.ndarray]:
     """Vertex set of each class in support.
 
@@ -145,23 +150,80 @@ def support_vertices(system: ConstraintSystem, support) -> list[np.ndarray]:
     return verts
 
 
+@lru_cache(maxsize=256)
+def _pattern_matrix(size: int, patterns: tuple[tuple[int, int], ...]
+                    ) -> np.ndarray:
+    """0/1 matrix of a size-member class: entry (b, j) is 1 when assignment
+    b lies in patterns[j], a (mask, value) pair.  Read-only, as it is shared.
+    """
+    mv = np.array(patterns, dtype=np.int64).reshape(-1, 2)
+    b = np.arange(1 << size)[:, None]
+    m = ((b & mv[:, 0]) == mv[:, 1]).astype(np.float64)
+    m.flags.writeable = False
+    return m
+
+
 def optimize_exact(expr: ProbExpr, system: ConstraintSystem) -> OptResult:
-    """Exact range of the expression over the feasible distributions."""
-    if not expr.support:
+    """Exact range of the expression over the feasible distributions.
+
+    The range is clamped into [0, 1], where a probability lies, so the
+    rounding of the sums cannot push it out (nor give -0.0).  The witnesses
+    are rows of the classes' vertex sets.
+    """
+    if not expr.terms or not expr.support:
         v = coeff_eval(expr.terms.get((), {}), expr.ctx.var_prob)
         return OptResult(v, v, {}, {})
     verts = support_vertices(system, expr.support)
+    sizes = [expr.ctx.classes[c].size for c in expr.support]
+    # per class, the distinct patterns its terms read, each with its column
+    cols: list[dict[tuple[int, int], int]] = [{} for _ in expr.support]
+    for cell in expr.terms:
+        for seen, pat in zip(cols, cell):
+            seen.setdefault(pat, len(seen))
+    # a class read through more patterns than it has assignments keeps its
+    # assignments as columns
+    dense = [len(seen) > 1 << n for seen, n in zip(cols, sizes)]
+    ys, kept = [], []  # per class: columns at its kept rows, and those
     total = 1
-    for vs in verts:
-        total *= len(vs)
+    for vs, seen, n, by_assignment in zip(verts, cols, sizes, dense):
+        y, rows = vs, range(len(vs))
+        if not by_assignment:
+            y = vs @ _pattern_matrix(n, tuple(seen))
+            read = [j for (m, _), j in seen.items() if m]
+            if len(read) <= 1 and len(vs) > 2:
+                s = y[:, read[0] if read else 0]
+                rows = sorted({int(s.argmin()), int(s.argmax())})
+                y = y[rows]
+        ys.append(y)
+        kept.append(rows)
+        total *= len(rows)
         if total > GLOBAL_COMBO_CAP:
             raise DimensionCapExceeded(f"{total}+ vertex combinations")
-    vals = _dense_template(expr)
-    for vs in verts:
-        vals = np.tensordot(vals, vs, axes=([0], [1]))
-    lo_idx = np.unravel_index(np.argmin(vals), vals.shape)
-    hi_idx = np.unravel_index(np.argmax(vals), vals.shape)
-    arg_lo = {c: verts[k][lo_idx[k]] for k, c in enumerate(expr.support)}
-    arg_hi = {c: verts[k][hi_idx[k]] for k, c in enumerate(expr.support)}
-    return OptResult(float(vals[lo_idx]), float(vals[hi_idx]),
-                     arg_lo, arg_hi)
+    # the template: np.ix_ only where some class keeps assignment columns,
+    # as a term is one entry otherwise
+    vals = np.zeros([y.shape[1] for y in ys])
+    any_dense = any(dense)
+    for cell, lam in expr.terms.items():
+        v = coeff_eval(lam, expr.ctx.var_prob)
+        if any_dense:
+            vals[np.ix_(*(cell_index(n, *pat) if by_assignment
+                          else [seen[pat]]
+                          for pat, seen, n, by_assignment
+                          in zip(cell, cols, sizes, dense)))] = v
+        else:
+            vals[tuple(seen[pat] for pat, seen in zip(cell, cols))] = v
+    # contract the first axis with each class's columns in turn: the
+    # result keeps one axis per class's rows, in support order
+    for y in ys:
+        vals = vals.reshape(y.shape[1], -1).T @ y.T
+    vals = vals.ravel()
+    i_lo, i_hi = int(vals.argmin()), int(vals.argmax())
+
+    def witness(i):
+        idx = np.unravel_index(i, [len(rows) for rows in kept])
+        return {c: verts[k][kept[k][idx[k]]]
+                for k, c in enumerate(expr.support)}
+
+    lo, hi = float(vals[i_lo]), float(vals[i_hi])
+    return OptResult(lo if lo > 0.0 else 0.0, min(hi, 1.0),
+                     witness(i_lo), witness(i_hi))

@@ -27,11 +27,13 @@ each assignment of its cell, in the same order, so expanded cells give
 that algebra's coefficients monomial for monomial, and printed expressions
 do not depend on how the cells fall.
 
-Building is linear in the cells, not in the dense template.  Assignments
-are spelled out only where they are read, in the optimizer's template,
-eval_expr and expr_str, through one cached index per class and cell.  The
-one cap, MAX_TEMPLATE, is a check per node in gen_objective on that
-template's size.
+Building is linear in the cells, not in the dense template over full
+class assignments.  The optimizer reads each class through the cell sums
+its terms fix, and spells out assignments only for a class read through
+more patterns than it has assignments; eval_expr and expr_str spell them
+out through one cached index per class and cell.  The one cap,
+MAX_TEMPLATE, is a check per node in gen_objective on the dense template's
+size.
 
 Theorem-level: for expressions of two facts A and B, mul yields the
 expression of P(A and B) and add the one of P(A or B), checked numerically

@@ -5,10 +5,12 @@ from itertools import combinations, product
 
 import numpy as np
 
-from praline.frontend import Atom, is_var
+from praline import optimizer
+from praline.frontend import Atom, DimensionCapExceeded, is_var
 from praline.grounder import DerivationGraph, Hyperedge
 from praline.symexpr import (
     coeff_add,
+    coeff_eval,
     coeff_joint,
     coeff_neg,
     coeff_one,
@@ -103,6 +105,33 @@ def assert_same_rows(got, want, atol):
     dist = np.abs(got[:, None, :] - want[None, :, :]).max(axis=2)
     assert dist.min(axis=1).max() <= atol
     assert dist.min(axis=0).max() <= atol
+
+
+def dense_range(expr, system):
+    """An objective's range over every product of its classes' vertices,
+    from its dense template: its value at every class assignment of the
+    support, contracted with every vertex of each class in turn.
+
+    The reference for `optimizer.optimize_exact`, which contracts only the
+    cell sums the terms read.  Raises DimensionCapExceeded when the full
+    vertex product passes `optimizer.GLOBAL_COMBO_CAP`, read at the call so
+    that a test can raise it.
+    """
+    if not expr.support:
+        v = coeff_eval(expr.terms.get((), {}), expr.ctx.var_prob)
+        return v, v
+    verts = optimizer.support_vertices(system, expr.support)
+    total = 1
+    for vs in verts:
+        total *= len(vs)
+        if total > optimizer.GLOBAL_COMBO_CAP:
+            raise DimensionCapExceeded(f"{total}+ vertex combinations")
+    vals = np.zeros([1 << expr.ctx.classes[c].size for c in expr.support])
+    for cell, lam in expr.terms.items():
+        vals[np.ix_(*expr.indices(cell))] = coeff_eval(lam, expr.ctx.var_prob)
+    for vs in verts:
+        vals = np.tensordot(vals, vs, axes=([0], [1]))
+    return float(vals.min()), float(vals.max())
 
 
 # -- the per-assignment expression algebra ----------------------------------

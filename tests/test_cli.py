@@ -24,7 +24,8 @@ BIG = "corr(" + ",".join(f"f{i}" for i in range(17)) + ").\n0.5::f0.\n"
 
 # i0 has no declaration, and the vertices of its class sum its marginal's
 # upper end to 1 + 2^-52 by rounding; d0 negates i0, which turned that
-# into a lower end of -2^-52, printed as -0
+# into a lower end of -2^-52, printed as -0, and gave d0 an exact upper end
+# of 1 + 2^-52
 FREE_NEGATED = """\
 0.581707::i2.
 corr(i0,i1,i2).
@@ -385,6 +386,7 @@ class TestJsonReport:
             assert text == pytest.approx((f["lower"], f["upper"]), abs=1e-6)
             for v in (*text, f["lower"], f["upper"]):
                 assert math.copysign(1.0, v) == 1.0
+            assert f["upper"] <= 1.0
 
     @pytest.mark.parametrize("target", ["", "missing/r.json"])
     def test_unwritable_path_is_an_error(self, roads_file, tmp_path, capsys,

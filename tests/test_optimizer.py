@@ -4,17 +4,38 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from praline import parse
-from praline.constraints import gen_constraints
+from praline import optimizer, parse
+from praline.cli import solve_source
+from praline.constraints import check_feasible, gen_constraints
 from praline.frontend import DimensionCapExceeded
-from praline.grounder import solve_standard
+from praline.grounder import break_cycles, solve_standard
 from praline.kernels import solve_supports
 from praline.optimizer import (enumerate_class_vertices, optimize_exact,
                                unique_rows)
 from praline.symexpr import context_from_program, eval_expr, gen_objective
 
-from conftest import CONFLICT, ROADS_EXACT, SIXPACK_E, relational_source
-from oracles import assert_same_rows, rational_vertices
+from conftest import (CHAIN, CONFLICT, ROADS, ROADS_EXACT, SIXPACK,
+                      SIXPACK_E, random_program_source, relational_source)
+from oracles import assert_same_rows, dense_range, rational_vertices
+
+# the relational programs test_fuzz solves: those with linear recursion
+RELATIONAL = [src for src in map(relational_source, range(8))
+              if "r(Y,Z)" not in src][:4]
+
+# q reads the class of a through the free pattern, in its first term, and
+# through a set; the class has 4 vertices, of which P(a) picks the extremes
+FREE_BESIDE_READ = """\
+0.3::c.
+0.5::b.
+corr(a,b).
+0.9::q :- c.
+0.8::q :- \\+c, a.
+query(q).
+"""
+
+# CHAIN's nodes whose full vertex product passes GLOBAL_COMBO_CAP, though
+# the product of the rows the optimizer keeps does not
+CHAIN_PAST_DENSE_CAP = ("path(0,13)", "path(0,14)", "path(0,15)")
 
 
 def pipeline(program):
@@ -22,6 +43,26 @@ def pipeline(program):
     ctx = context_from_program(program, graph)
     system = gen_constraints(program, ctx)
     return graph, ctx, system
+
+
+def cyclic_pipeline(src):
+    """The whole graph of a source, unfolded when cyclic, and its system."""
+    program = parse(src)
+    graph = solve_standard(program)
+    work = graph if graph.acyclic else break_cycles(graph)
+    ctx = context_from_program(program, work)
+    return work, ctx, gen_constraints(program, ctx)
+
+
+def named(graph, name):
+    return next(n for n in graph.nodes if str(n) == name)
+
+
+def dense_range_past_cap(expr, system, monkeypatch):
+    """dense_range with the combination cap raised for this call only."""
+    with monkeypatch.context() as m:
+        m.setattr(optimizer, "GLOBAL_COMBO_CAP", 10 ** 7)
+        return dense_range(expr, system)
 
 
 def roads_v4_rational():
@@ -184,18 +225,22 @@ class TestExactOptimization:
             res = optimize_exact(obj, system)
             assert_allclose([res.lo, res.hi], [0.36, 0.36], atol=1e-9)
 
-    def test_witnesses_attain_bounds(self, roads):
-        graph, ctx, system = pipeline(roads)
-        target = [n for n in graph.nodes if str(n) == "path(1,7)"][0]
-        obj = gen_objective(graph, ctx, target)
-        res = optimize_exact(obj, system)
-        witness = [cs.feasible_point() for cs in system.classes]
-        for arg, want in [(res.arg_lo, res.lo), (res.arg_hi, res.hi)]:
-            dists = list(witness)
-            for c, x in arg.items():
-                dists[c] = x
-            assert_allclose(eval_expr(obj, dists, ctx.var_prob), want,
-                            atol=1e-9)
+    def test_witnesses_attain_bounds(self):
+        for src, name in [(ROADS, "path(1,7)"), (CHAIN, "path(0,15)")]:
+            graph, ctx, system = cyclic_pipeline(src)
+            obj = gen_objective(graph, ctx, named(graph, name))
+            res = optimize_exact(obj, system)
+            witness = [cs.feasible_point() for cs in system.classes]
+            for arg, want in [(res.arg_lo, res.lo), (res.arg_hi, res.hi)]:
+                assert set(arg) == set(obj.support)
+                dists = list(witness)
+                for c, x in arg.items():
+                    # a row of the class's own vertex set
+                    assert (system.classes[c].vertices() == x).all(
+                        axis=1).any()
+                    dists[c] = x
+                assert_allclose(eval_expr(obj, dists, ctx.var_prob), want,
+                                atol=1e-9)
 
     def test_pinned_class_gives_point(self, sixpack):
         graph, ctx, system = pipeline(sixpack)
@@ -210,3 +255,49 @@ class TestExactOptimization:
         for v in (0, 1):
             res = optimize_exact(expr_const(ctx, v), system)
             assert res.lo == res.hi == v
+
+
+def read_past_assignments(expr):
+    """Whether some class of the support is read through more (mask, value)
+    patterns than it has assignments."""
+    return any(len({cell[k] for cell in expr.terms})
+               > 1 << expr.ctx.classes[c].size
+               for k, c in enumerate(expr.support))
+
+
+class TestAgainstDenseReference:
+    def test_every_node_matches_dense_range(self, monkeypatch):
+        sources = [ROADS, SIXPACK, CHAIN, FREE_BESIDE_READ] + \
+            [random_program_source(seed) for seed in range(60)] + RELATIONAL
+        past_cap, wide = [], 0
+        for src in sources:
+            graph, ctx, system = cyclic_pipeline(src)
+            if not check_feasible(system):
+                continue
+            memo = {}
+            for n in graph.nodes:
+                obj = gen_objective(graph, ctx, n, memo)
+                res = optimize_exact(obj, system)
+                try:
+                    want = dense_range(obj, system)
+                except DimensionCapExceeded:
+                    past_cap.append((src, str(n)))
+                    want = dense_range_past_cap(obj, system, monkeypatch)
+                assert_allclose([res.lo, res.hi], want, rtol=0, atol=1e-12)
+                wide += read_past_assignments(obj)
+        assert sorted(past_cap) == [(CHAIN, n) for n in CHAIN_PAST_DENSE_CAP]
+        assert wide
+
+    def test_chain_exact_mode_needs_no_approx_pass(self, monkeypatch):
+        graph, ctx, system = cyclic_pipeline(CHAIN)
+        obj = gen_objective(graph, ctx, named(graph, "path(0,15)"))
+        want = dense_range_past_cap(obj, system, monkeypatch)
+
+        def no_approx(*args, **kwargs):
+            raise AssertionError("exact mode ran the approx pass")
+
+        monkeypatch.setattr("praline.cli.approx_bounds", no_approx)
+        facts = {f.atom: f for f in solve_source(CHAIN, mode="exact").facts}
+        assert all(f.mode == "exact" for f in facts.values())
+        f = facts["path(0,15)"]
+        assert_allclose([f.lower, f.upper], want, rtol=0, atol=1e-12)

@@ -32,7 +32,9 @@ from conftest import (
 )
 
 # ROADS with each last-leg edge in a 6-fact class: the two classes are each
-# enumerable, but their vertex product passes the global combination cap
+# enumerable (8192 vertices), but their vertex product passes the global
+# combination cap.  path(1,7) reads each through its edge set and unset, two
+# patterns, so the optimizer keeps every row of both
 ROADS_PADDED = ROADS + """\
 0.5::u1.
 corr(edge(5,7),u1,u2,u3,u4,u5).
@@ -232,6 +234,8 @@ class TestSoundnessFallback:
         assert d.mode == "soundness_only"
         assert d.flags == ["soundness_only"]
         assert facts["exact"].flags == ["soundness_only"]
+        assert d.reason == facts["exact"].reason == \
+            f"{8192 * 8192}+ vertex combinations"
         for mode in ("exact", "approx"):
             assert (d.lower, d.upper) == \
                 (facts[mode].lower, facts[mode].upper)
